@@ -15,8 +15,7 @@ from .evaluator import (B6Report, Decision, EvaluationError, Valuation,
                         assign, decide, diagnose_b6, independent,
                         lewis_escape, valid)
 from .probability import (BaseMeasure, BayesResult, MeasureError,
-                          MeasureState, ReconstructionError, bayes_check,
-                          extend_level, init_measure, limit_prob, perturb,
+                          MeasureState, bayes_check, init_measure, limit_prob,
                           prob)
 from .proofs import (Derivation, Line, ProofError, Verdict, SCHEMAS, check,
                      cross_validate, derivation_from_dict, derivation_to_dict,

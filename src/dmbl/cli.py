@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from fractions import Fraction
 
 from . import __version__
@@ -35,18 +36,20 @@ def _common(sub: argparse.ArgumentParser) -> None:
 
 def _make_config(args) -> EngineConfig:
     cfg = load_config(args.config) if args.config else EngineConfig()
+    flags = {}
     if args.atoms:
-        cfg.atoms = [a.strip() for a in args.atoms.split(",") if a.strip()]
-        cfg.worlds = None
+        flags["atoms"] = [a.strip() for a in args.atoms.split(",") if a.strip()]
+        flags["worlds"] = None
     if args.schedule:
-        cfg.schedule = args.schedule
-    if args.max_levels:
-        cfg.max_levels = args.max_levels
-    if args.max_worlds:
-        cfg.max_worlds = args.max_worlds
+        flags["schedule"] = args.schedule
+    if args.max_levels is not None:
+        flags["max_levels"] = args.max_levels
+    if args.max_worlds is not None:
+        flags["max_worlds"] = args.max_worlds
     if args.json:
-        cfg.output = "json"
-    return cfg
+        flags["output"] = "json"
+    # replace() re-runs EngineConfig's validation on the flag values
+    return replace(cfg, **flags)
 
 
 def _emit(cfg: EngineConfig, report: dict, text_lines) -> None:

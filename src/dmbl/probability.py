@@ -5,14 +5,18 @@ worlds.  Each construction step extends it: a new world ``(x, y)`` in a
 block ``Pi x Gamma`` weighs ``P(x) P(y) / P(Gamma)``, and ``(x, y)`` in
 ``Gamma x Pi`` weighs ``P(x) P(y) / P(Pi)``.  The extension preserves the
 weight of every embedded set, so formula probabilities are level-free.
-All arithmetic is exact; there is no floating point in this module.
+A base measure with zeros is read through ``limit_prob``: the same
+extension runs over leading terms ``(order, coeff)`` in a vanishing uniform
+perturbation eps, where products add orders, quotients subtract them and
+sums keep the lowest order.  All arithmetic is exact; there is no floating
+point in this module.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 from .evaluator import assign
 from .formula import And, Cond, Formula
@@ -21,10 +25,6 @@ from .worlds import bit_indices
 
 
 class MeasureError(ModelError):
-    pass
-
-
-class ReconstructionError(MeasureError):
     pass
 
 
@@ -54,20 +54,37 @@ class BaseMeasure:
         return cls(tuple(Fraction(w) for w in weights))
 
 
-def perturb(pi: BaseMeasure, eps: Fraction) -> BaseMeasure:
-    """Mix ``pi`` with the uniform measure: strictly positive for eps in (0,1)."""
-    eps = Fraction(eps)
-    if not 0 < eps < 1:
-        raise MeasureError("perturbation parameter must lie strictly in (0, 1)")
-    n = len(pi.weights)
-    return BaseMeasure(tuple(eps / n + (1 - eps) * w for w in pi.weights))
+class _Leading:
+    """Leading term ``coeff * eps**order`` of a weight positive for small eps."""
+
+    __slots__ = ("order", "coeff")
+
+    def __init__(self, order: int, coeff: Fraction):
+        self.order = order
+        self.coeff = coeff
+
+    def __add__(self, other: "_Leading") -> "_Leading":
+        # both summands are positive: the lower order wins, nothing cancels
+        if self.order != other.order:
+            return self if self.order < other.order else other
+        return _Leading(self.order, self.coeff + other.coeff)
+
+    def __radd__(self, zero) -> "_Leading":
+        return self  # ``sum`` starts from Fraction(0)
+
+    def __mul__(self, other: "_Leading") -> "_Leading":
+        return _Leading(self.order + other.order, self.coeff * other.coeff)
+
+    def __truediv__(self, other: "_Leading") -> "_Leading":
+        return _Leading(self.order - other.order, self.coeff / other.coeff)
 
 
 class MeasureState:
     """Per-level world weights extending a base measure.
 
     Extension is single-owner like the model itself; reads of already
-    extended levels are pure.
+    extended levels are pure.  The loop uses only ``+``, ``*`` and ``/`` on
+    the weights, so ``limit_prob`` runs it over leading terms unchanged.
     """
 
     def __init__(self, state: ModelState, base: BaseMeasure):
@@ -127,14 +144,6 @@ def init_measure(state: ModelState, pi: BaseMeasure) -> MeasureState:
     return m
 
 
-def extend_level(state: ModelState, m: MeasureState, n: int) -> MeasureState:
-    """Extend the weights from level ``n`` onto level ``n + 1``."""
-    if m.extended_through() < n:
-        raise MeasureError(f"level {n} weights not present yet")
-    m.extend_to(state, n + 1)
-    return m
-
-
 def prob(state: ModelState, m: MeasureState, f: Formula) -> Fraction:
     """Exact probability of a formula: the weight of its value set."""
     val = assign(state, f)
@@ -155,99 +164,20 @@ def bayes_check(state: ModelState, m: MeasureState, phi: Formula,
     return BayesResult(lhs=lhs, rhs=rhs, equal=lhs == rhs)
 
 
-def _poly_eval(coeffs: list[Fraction], x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
-
-
-def _nullspace_vector(rows: list[list[Fraction]], ncols: int) -> Optional[list[Fraction]]:
-    # Gaussian elimination; returns one nonzero kernel vector, or None.
-    mat = [row[:] for row in rows]
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
-        if pivot is None:
-            continue
-        mat[r], mat[pivot] = mat[pivot], mat[r]
-        inv = 1 / mat[r][c]
-        mat[r] = [v * inv for v in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c] != 0:
-                factor = mat[i][c]
-                mat[i] = [a - factor * b for a, b in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(mat):
-            break
-    free = [c for c in range(ncols) if c not in pivots]
-    if not free:
-        return None
-    col = free[0]
-    vec = [Fraction(0)] * ncols
-    vec[col] = Fraction(1)
-    for row_idx, pc in enumerate(pivots):
-        vec[pc] = -mat[row_idx][col]
-    return vec
-
-
-def limit_prob(state: ModelState, pi: BaseMeasure, f: Formula,
-               degree_bound: Optional[int] = None) -> Fraction:
+def limit_prob(state: ModelState, pi: BaseMeasure, f: Formula) -> Fraction:
     """Probability under ``pi`` as the limit of vanishing perturbations.
 
-    The perturbed probability is a rational function of the perturbation
-    parameter; it is reconstructed exactly from sampled evaluations and
-    read off at zero.  ``degree_bound`` defaults to the world count of the
-    deepest level the formula touches, a safe overestimate at desk scale;
-    a reconstruction that fails its verification sample reports that the
-    bound was too small rather than returning a wrong value.
+    Under ``eps/n + (1 - eps) pi`` every weight is positive for eps in (0, 1),
+    so the extension runs on leading terms ``coeff * eps**order``: a base
+    weight ``w > 0`` is ``(0, w)`` and ``w = 0`` is ``(1, 1/n)``.  The limit
+    is the value's coefficient at order 0, or 0 if its order is higher.
     """
     val = assign(state, f)
-    d = degree_bound if degree_bound is not None else state.width(val.level)
-    if d < 0:
-        raise MeasureError("degree bound must be nonnegative")
-    n_samples = 2 * d + 2
-
-    def sample(eps: Fraction) -> Fraction:
-        m = MeasureState(state, perturb(pi, eps))
-        return m.weight_of(state, val.value)
-
-    samples: list[tuple[Fraction, Fraction]] = []
-    k = 0
-    while len(samples) < n_samples:
-        eps = Fraction(1, k + 2)
-        k += 1
-        samples.append((eps, sample(eps)))
-
-    rows = []
-    for eps, y in samples:
-        powers = [eps ** j for j in range(d + 1)]
-        rows.append(powers + [-y * p for p in powers])
-    vec = _nullspace_vector(rows, 2 * d + 2)
-    if vec is None:
-        raise ReconstructionError("sample system has full rank; resample")
-    num = vec[: d + 1]
-    den = vec[d + 1:]
-    if all(c == 0 for c in den):
-        raise ReconstructionError("degenerate reconstruction (zero denominator)")
-    while num[0] == 0 and den[0] == 0:
-        num = num[1:] + [Fraction(0)]
-        den = den[1:] + [Fraction(0)]
-    if den[0] == 0:
-        raise ReconstructionError(
-            "reconstructed function is unbounded at zero; degree bound too small?")
-
-    # held-out verification; skip the rare sample that lands on a pole
-    for _ in range(4):
-        eps_v = Fraction(1, k + 2)
-        k += 1
-        dv = _poly_eval(den, eps_v)
-        if dv == 0:
-            continue
-        if _poly_eval(num, eps_v) / dv != sample(eps_v):
-            raise ReconstructionError(
-                "verification sample disagrees: degree bound too small")
-        return num[0] / den[0]
-    raise ReconstructionError("verification samples kept hitting poles; resample")
+    m = MeasureState(state, pi)
+    n = len(pi.weights)
+    m._levels = [[_Leading(0, w) if w else _Leading(1, Fraction(1, n))
+                  for w in pi.weights]]
+    total = m.weight_of(state, val.value)
+    if val.value.is_empty or total.order > 0:
+        return Fraction(0)
+    return total.coeff

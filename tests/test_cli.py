@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from dmbl.cli import main
 from dmbl.proofs import corpus_dir
 
@@ -70,6 +72,12 @@ def test_cap_exceeded_is_model_error(capsys):
     code, _, err = run(capsys, "decide", "(q|p) -> q", "--max-worlds", "4")
     assert code == 2
     assert err.startswith("model error:")
+
+
+@pytest.mark.parametrize("flag", ["--max-levels", "--max-worlds"])
+def test_zero_resource_cap_is_config_error(capsys, flag):
+    code, _, err = run(capsys, "decide", "p", flag, "0")
+    assert code == 2 and err.startswith("config error:")
 
 
 def test_canonical_unreachable_event_caps_cleanly(capsys):

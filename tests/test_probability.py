@@ -8,8 +8,7 @@ from dmbl.evaluator import assign, independent
 from dmbl.formula import parse
 from dmbl.model import ModelState
 from dmbl.probability import (BaseMeasure, MeasureError, MeasureState,
-                              ReconstructionError, bayes_check, init_measure,
-                              limit_prob, perturb, prob)
+                              bayes_check, init_measure, limit_prob, prob)
 from dmbl.worlds import PropSet
 
 from genformulas import random_formula
@@ -49,17 +48,8 @@ def test_extension_golden_values():
     assert m.level_weights(1) == [Fraction(1, 5), Fraction(3, 10),
                                   Fraction(1, 5), Fraction(3, 10)]
     assert sum(m.level_weights(1)) == 1
-
-
-def test_extend_level_surface():
-    from dmbl.probability import extend_level
-
-    s, m = three_world_measured()
-    s.step()
-    extend_level(s, m, 0)
-    assert m.extended_through() == 1
     with pytest.raises(MeasureError):
-        extend_level(s, m, 5)  # level weights not present yet
+        m.extend_to(s, 5)  # level 5 is not built in the model
 
 
 def test_extension_preserves_embedded_weights():
@@ -112,18 +102,6 @@ def test_bayes_simple_and_iterated():
     assert r3.equal
 
 
-def test_perturb():
-    pi = BaseMeasure.from_weights([0, 0, Fraction(1, 2), Fraction(1, 2)])
-    pe = perturb(pi, Fraction(1, 10))
-    assert pe.weights[0] == Fraction(1, 40)
-    assert pe.strictly_positive
-    assert sum(pe.weights) == 1
-    with pytest.raises(MeasureError):
-        perturb(pi, Fraction(0))
-    with pytest.raises(MeasureError):
-        perturb(pi, Fraction(1))
-
-
 def test_limit_prob_classical_recovers_base_with_zeros():
     pi = BaseMeasure.from_weights([0, 0, Fraction(1, 2), Fraction(1, 2)])
     texts = ["p", "q", "p /\\ q", "p \\/ q", "~p", "p -> q", "T", "F"]
@@ -145,40 +123,73 @@ def test_limit_prob_agrees_with_prob_when_positive():
         assert limit_prob(s2, pi, parse(text)) == direct, text
 
 
+def _weights(*parts):
+    total = sum(parts)
+    return [Fraction(w, total) for w in parts]
+
+
+# (formula, base weights in world order ~p~q ~pq p~q pq, top width, limit)
+ZERO_LIMIT_CASES = [
+    ("(q|p)", _weights(0, 0, 1, 1), 8, Fraction(1, 2)),
+    ("(p|q)", _weights(0, 0, 1, 1), 8, Fraction(1)),
+    ("(~q|p)", _weights(0, 1, 1, 2), 8, Fraction(1, 3)),
+    ("(q|p) \\/ ~q", _weights(0, 0, 0, 1), 8, Fraction(1)),
+    ("((q|p)|q)", _weights(0, 1, 1, 2), 32, Fraction(8, 9)),
+    ("((q|p)|q) /\\ (p|q)", _weights(0, 1, 0, 3), 32, Fraction(3, 4)),
+    ("((q|p)|q)", _weights(0, 0, 1, 0), 32, Fraction(1, 2)),
+    ("((q|p)|p <-> q)", _weights(0, 1, 2, 0), 32, Fraction(1, 2)),
+    ("(q|p) /\\ ((p|~q)|q)", _weights(2, 0, 1, 1), 32, Fraction(1, 12)),
+]
+
+
 def test_limit_prob_conditional_matches_symbolic_reference():
     import sympy
 
-    pi = BaseMeasure.from_weights([0, 0, Fraction(1, 2), Fraction(1, 2)])
-    s = ModelState.from_atoms(["p", "q"])
-    got = limit_prob(s, pi, parse("(q|p)"))
-
-    # independent symbolic run of the four-world recursion
-    from oracle import NaiveModel
-
     e = sympy.Symbol("e", positive=True)
-    labels = s.base_labels
-    om = NaiveModel(labels)
-    hp = frozenset(labels[i] for i in s.h("p").indices())
-    hq = frozenset(labels[i] for i in s.h("q").indices())
-    om.step(hp)
-    base = {w: sympy.Rational(1, 2) if w in hp else sympy.Integer(0)
-            for w in labels}
-    weights = om.extend_measure(
-        {w: e / 4 + (1 - e) * base[w] for w in labels})
-    value_set = om.f(om.lift(hq, 0, 1), om.lift(hp, 0, 1))
-    total = sum(weights[1][w] for w in value_set)
-    want = sympy.limit(sympy.together(total), e, 0, "+")
-    assert sympy.Rational(got.numerator, got.denominator) == want
+    for text, weights, width, want in ZERO_LIMIT_CASES:
+        s = ModelState.from_atoms(["p", "q"])
+        got = limit_prob(s, BaseMeasure.from_weights(weights), parse(text))
+        assert s.width(s.top) == width, text
+        assert got == want, text
+
+        # independent symbolic run of the naive recursion under
+        # eps/n + (1 - eps) w
+        om, maps = drive_from_state(s)
+        levels = om.extend_measure({
+            label: e / len(weights)
+            + (1 - e) * sympy.Rational(w.numerator, w.denominator)
+            for label, w in zip(maps[0], weights)})
+        val = assign(s, parse(text)).value
+        total = sum((levels[val.level][maps[val.level][i]]
+                     for i in val.indices()), sympy.Integer(0))
+        ref = sympy.limit(sympy.together(total), e, 0, "+")
+        assert sympy.Rational(got.numerator, got.denominator) == ref, text
 
 
-def test_limit_prob_degree_bound_failure_is_reported():
-    # P((p|q)) under this measure is genuinely linear in the perturbation
-    pi = BaseMeasure.from_weights([0, 0, Fraction(1, 2), Fraction(1, 2)])
+@pytest.mark.parametrize("text,width,want", [
+    ("(((q|p)|q)|p /\\ q) <-> (p|q)", 384, Fraction(2, 3)),
+    ("((((q|p)|q)|p /\\ q)|p \\/ q) <-> (p|q)", 40960, Fraction(2, 3)),
+])
+def test_limit_prob_equals_prob_at_large_width(text, width, want):
+    pi = BaseMeasure.from_weights(_weights(1, 2, 3, 4))
     s = ModelState.from_atoms(["p", "q"])
-    with pytest.raises(ReconstructionError):
-        limit_prob(s, pi, parse("(p|q)"), degree_bound=0)
-    s2 = ModelState.from_atoms(["p", "q"])
-    assert limit_prob(s2, pi, parse("(p|q)")) == 1
+    got = limit_prob(s, pi, parse(text))
+    assert s.width(s.top) == width
+    assert got == prob(s, init_measure(s, pi), parse(text)) == want
+
+
+def test_limit_prob_with_zeros_at_width_384_matches_tiny_perturbation():
+    f = parse("(((q|p)|q)|p /\\ q) <-> (p|q)")
+    pi = BaseMeasure.from_weights(_weights(0, 1, 2, 3))
+    s = ModelState.from_atoms(["p", "q"])
+    got = limit_prob(s, pi, f)
+    assert s.width(s.top) == 384
+    assert got == Fraction(3, 4)
+    eps = Fraction(1, 10 ** 30)
+    mixed = BaseMeasure(tuple(eps / 4 + (1 - eps) * w for w in pi.weights))
+    near = prob(s, init_measure(s, mixed), f)
+    assert near != got  # the perturbed value really moves with eps
+    assert abs(near - got) <= Fraction(1, 10 ** 20)
 
 
 def test_extension_matches_naive_reference():
