@@ -29,10 +29,28 @@ class EngineConfig:
     output: str = "text"
 
     def __post_init__(self):
+        for key in ("atoms", "worlds"):
+            names = getattr(self, key)
+            if names is not None and not (
+                    isinstance(names, list)
+                    and all(isinstance(x, str) for x in names)):
+                raise ConfigError(f"{key} must be a list of strings")
+        for key in ("max_levels", "max_worlds"):
+            if type(getattr(self, key)) is not int:  # a bool is no cap
+                raise ConfigError(f"{key} must be an integer")
+        for key in ("schedule", "output"):
+            if not isinstance(getattr(self, key), str):
+                raise ConfigError(f"{key} must be a string")
+        if self.measure is not None and not isinstance(self.measure, dict):
+            raise ConfigError("measure must be an object")
+        if self.task_list is not None and not isinstance(self.task_list, list):
+            raise ConfigError("task_list must be a list")
         if self.atoms is None and self.worlds is None:
             self.atoms = ["p", "q"]
         if self.schedule not in ("demand", "canonical"):
             raise ConfigError(f"unknown schedule {self.schedule!r}")
+        if self.output not in ("text", "json"):
+            raise ConfigError(f"unknown output {self.output!r}")
         if self.max_levels <= 0 or self.max_worlds <= 0:
             raise ConfigError("resource caps must be positive")
 
@@ -41,8 +59,10 @@ def load_config(path: str) -> EngineConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # also malformed JSON or encoding
         raise ConfigError(f"cannot read config {path}: {exc}") from None
+    if not isinstance(data, dict):
+        raise ConfigError(f"config {path} is not a JSON object")
     allowed = {"atoms", "worlds", "measure", "schedule", "max_levels",
                "max_worlds", "task_list", "output"}
     unknown = set(data) - allowed
@@ -90,7 +110,7 @@ def build_measure(cfg: EngineConfig, state: ModelState) -> BaseMeasure:
     for key, value in cfg.measure.items():
         try:
             frac = Fraction(value)
-        except (ValueError, ZeroDivisionError) as exc:
+        except (TypeError, ValueError, ZeroDivisionError) as exc:
             raise ConfigError(f"bad rational {value!r} for {key!r}: {exc}") from None
         if cfg.worlds is not None:
             idx = state.world_index(key)

@@ -5,15 +5,20 @@ worlds.  Each construction step extends it: a new world ``(x, y)`` in a
 block ``Pi x Gamma`` weighs ``P(x) P(y) / P(Gamma)``, and ``(x, y)`` in
 ``Gamma x Pi`` weighs ``P(x) P(y) / P(Pi)``.  The extension preserves the
 weight of every embedded set, so formula probabilities are level-free.
+Each level is stored as integer numerators over one shared integer
+denominator, so the extension runs on plain ``int`` products and sums and
+``Fraction`` appears only where weights enter and leave.
 A base measure with zeros is read through ``limit_prob``: the same
 extension runs over leading terms ``(order, coeff)`` in a vanishing uniform
-perturbation eps, where products add orders, quotients subtract them and
-sums keep the lowest order.  All arithmetic is exact; there is no floating
-point in this module.
+perturbation eps, where products add orders, sums keep the lowest order,
+and the coefficients are integer numerators over the same kind of shared
+denominators.  All arithmetic is exact; there is no floating point in
+this module.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
@@ -55,11 +60,14 @@ class BaseMeasure:
 
 
 class _Leading:
-    """Leading term ``coeff * eps**order`` of a weight positive for small eps."""
+    """Leading term ``coeff * eps**order`` of a weight positive for small eps.
+
+    ``coeff`` is an integer numerator over its level's shared denominator.
+    """
 
     __slots__ = ("order", "coeff")
 
-    def __init__(self, order: int, coeff: Fraction):
+    def __init__(self, order: int, coeff: int):
         self.order = order
         self.coeff = coeff
 
@@ -70,21 +78,25 @@ class _Leading:
         return _Leading(self.order, self.coeff + other.coeff)
 
     def __radd__(self, zero) -> "_Leading":
-        return self  # ``sum`` starts from Fraction(0)
+        return self  # ``sum`` starts from the int 0
 
     def __mul__(self, other: "_Leading") -> "_Leading":
         return _Leading(self.order + other.order, self.coeff * other.coeff)
-
-    def __truediv__(self, other: "_Leading") -> "_Leading":
-        return _Leading(self.order - other.order, self.coeff / other.coeff)
 
 
 class MeasureState:
     """Per-level world weights extending a base measure.
 
-    Extension is single-owner like the model itself; reads of already
-    extended levels are pure.  The loop uses only ``+``, ``*`` and ``/`` on
-    the weights, so ``limit_prob`` runs it over leading terms unchanged.
+    Level ``n`` is stored as integer numerators over one shared integer
+    denominator ``D_n``.  ``D_0`` is the lcm of the base denominators; step
+    ``n`` scales it by ``L_n``, the lcm of the step's block sums, so a new
+    world ``(x, y)`` gets the integer numerator ``w[x] w[y] (L_n // s)``,
+    ``s`` being the opposite block's sum, over ``D_{n+1} = D_n L_n``.
+    Fractions appear only at the boundary: the base weights in and
+    ``weight_of``/``level_weights`` out.  The loop takes its block factors
+    from ``_scale``, so ``limit_prob`` runs it unchanged over leading
+    terms.  Extension is single-owner like the model itself; reads of
+    already extended levels are pure.
     """
 
     def __init__(self, state: ModelState, base: BaseMeasure):
@@ -93,48 +105,92 @@ class MeasureState:
                 f"measure has {len(base.weights)} weights for "
                 f"{state.width(0)} base worlds")
         self.base = base
-        self._levels: list[list[Fraction]] = [list(base.weights)]
+        den = math.lcm(*(w.denominator for w in base.weights))
+        self._levels: list[list] = [
+            [w.numerator * (den // w.denominator) for w in base.weights]]
+        self._denoms: list[int] = [den]
 
     def extended_through(self) -> int:
         return len(self._levels) - 1
 
     def level_weights(self, n: int) -> list[Fraction]:
-        return self._levels[n]
+        den = self._denoms[n]
+        return [Fraction(x, den) for x in self._levels[n]]
 
     def extend_to(self, state: ModelState, level: int) -> None:
         while self.extended_through() < level:
             self._extend_one(state)
+
+    def _scale(self, sums: list) -> tuple:
+        """The level scale ``L`` and the factor ``L / s`` of each block sum."""
+        scale = math.lcm(*sums)
+        return scale, [scale // s for s in sums]
 
     def _extend_one(self, state: ModelState) -> None:
         n = self.extended_through()
         if n >= state.top:
             raise MeasureError(f"level {n + 1} not built in the model")
         w = self._levels[n]
-        ev = state.history[n]
         pi_sums = []
         ga_sums = []
-        for p_mask, g_mask in ev.blocks:
-            ps = sum((w[i] for i in bit_indices(p_mask)), Fraction(0))
-            gs = sum((w[i] for i in bit_indices(g_mask)), Fraction(0))
+        for p_mask, g_mask in state.history[n].blocks:
+            ps = sum([w[i] for i in bit_indices(p_mask)])
+            gs = sum([w[i] for i in bit_indices(g_mask)])
             if ps == 0 or gs == 0:
                 raise MeasureError(
                     "zero-weight block: extension needs a strictly positive "
                     "base measure (use the perturbation limit instead)")
             pi_sums.append(ps)
             ga_sums.append(gs)
+        scale, factors = self._scale(pi_sums + ga_sums)
+        # the Pi x Gamma side divides by the Gamma sum, Gamma x Pi by the Pi sum
+        over_pi, over_ga = factors[:len(pi_sums)], factors[len(pi_sums):]
         lvl = state.level(n + 1)
-        out = []
-        for i in range(lvl.width):
-            l, r = lvl.pairs[i]
-            bi = lvl.block_of[i]
-            denom = ga_sums[bi] if i < lvl.split else pi_sums[bi]
-            out.append(w[l] * w[r] / denom)
+        pairs, blocks, split = lvl.pairs, lvl.block_of, lvl.split
+        out = [w[l] * w[r] * over_ga[b]
+               for (l, r), b in zip(pairs[:split], blocks[:split])]
+        out += [w[l] * w[r] * over_pi[b]
+                for (l, r), b in zip(pairs[split:], blocks[split:])]
         self._levels.append(out)
+        self._denoms.append(self._denoms[n] * scale)
 
-    def weight_of(self, state: ModelState, value) -> Fraction:
+    def _mass(self, state: ModelState, value):
+        """Sum of the stored weights of ``value``'s worlds."""
         self.extend_to(state, value.level)
         w = self._levels[value.level]
-        return sum((w[i] for i in value.indices()), Fraction(0))
+        return sum([w[i] for i in value.indices()])
+
+    def weight_of(self, state: ModelState, value) -> Fraction:
+        return Fraction(self._mass(state, value), self._denoms[value.level])
+
+
+class _LeadingMeasure(MeasureState):
+    """The same extension over leading terms, for ``limit_prob``.
+
+    A block sum ``s`` leads with ``coeff * eps**order``, so the level scale
+    is the lcm of the sums' coefficients and the factor of ``s`` is
+    ``(scale // coeff) * eps**-order``.
+    """
+
+    def __init__(self, state: ModelState, base: BaseMeasure):
+        super().__init__(state, base)
+        n = len(base.weights)
+        den = math.lcm(self._denoms[0], n)
+        up = den // self._denoms[0]
+        self._levels = [[_Leading(0, x * up) if x else _Leading(1, den // n)
+                         for x in self._levels[0]]]
+        self._denoms = [den]
+
+    def _scale(self, sums: list) -> tuple:
+        scale = math.lcm(*(s.coeff for s in sums))
+        return scale, [_Leading(-s.order, scale // s.coeff) for s in sums]
+
+    def weight_of(self, state: ModelState, value) -> Fraction:
+        """The limit of ``value``'s weight: its coefficient at order 0."""
+        total = self._mass(state, value)
+        if value.is_empty or total.order > 0:
+            return Fraction(0)
+        return Fraction(total.coeff, self._denoms[value.level])
 
 
 def init_measure(state: ModelState, pi: BaseMeasure) -> MeasureState:
@@ -172,12 +228,4 @@ def limit_prob(state: ModelState, pi: BaseMeasure, f: Formula) -> Fraction:
     weight ``w > 0`` is ``(0, w)`` and ``w = 0`` is ``(1, 1/n)``.  The limit
     is the value's coefficient at order 0, or 0 if its order is higher.
     """
-    val = assign(state, f)
-    m = MeasureState(state, pi)
-    n = len(pi.weights)
-    m._levels = [[_Leading(0, w) if w else _Leading(1, Fraction(1, n))
-                  for w in pi.weights]]
-    total = m.weight_of(state, val.value)
-    if val.value.is_empty or total.order > 0:
-        return Fraction(0)
-    return total.coeff
+    return _LeadingMeasure(state, pi).weight_of(state, assign(state, f).value)

@@ -300,23 +300,42 @@ def cross_validate(d: Derivation, state) -> CrossReport:
 
 # --- proof-script files ---------------------------------------------------------
 
+_ABSENT = object()
+
+
+def _field(data, key: str, kind: type, where: str, default=_ABSENT):
+    """``data[key]`` checked to be a ``kind``; ``default`` if it is absent."""
+    if not isinstance(data, dict):
+        raise ProofError(f"{where} is not a JSON object")
+    value = data.get(key, default)
+    if value is _ABSENT:
+        raise ProofError(f"{where} has no {key!r}")
+    if not isinstance(value, kind):
+        raise ProofError(f"{where} has a {key!r} that is not a {kind.__name__}")
+    return value
+
+
 def derivation_from_dict(data: dict, atoms=None) -> Derivation:
     lines = []
-    for entry in data["lines"]:
-        subst = None
-        if entry.get("subst"):
-            subst = {k: parse(v, atoms) for k, v in entry["subst"].items()}
+    for num, entry in enumerate(_field(data, "lines", list, "proof script"), 1):
+        where = f"proof line {num}"
+        refs = _field(entry, "refs", list, where, [])
+        if any(type(r) is not int for r in refs):
+            raise ProofError(f"{where} has a reference that is not an integer")
+        subst = _field(entry, "subst", dict, where, {})
+        if any(not isinstance(v, str) for v in subst.values()):
+            raise ProofError(f"{where} has a substitution that is not a string")
         lines.append(Line(
-            formula=parse(entry["formula"], atoms),
-            rule=entry["rule"],
-            refs=tuple(entry.get("refs", ())),
-            subst=subst,
+            formula=parse(_field(entry, "formula", str, where), atoms),
+            rule=_field(entry, "rule", str, where),
+            refs=tuple(refs),
+            subst={k: parse(v, atoms) for k, v in subst.items()} or None,
         ))
     return Derivation(
-        logic=data.get("logic", "DmBL*"),
+        logic=_field(data, "logic", str, "proof script", "DmBL*"),
         lines=tuple(lines),
-        target=parse(data["target"], atoms),
-        name=data.get("name", ""),
+        target=parse(_field(data, "target", str, "proof script"), atoms),
+        name=_field(data, "name", str, "proof script", ""),
     )
 
 
@@ -335,7 +354,11 @@ def derivation_to_dict(d: Derivation) -> dict:
 
 def load_derivation(path) -> Derivation:
     with open(path, "r", encoding="utf-8") as fh:
-        return derivation_from_dict(json.load(fh))
+        try:
+            data = json.load(fh)
+        except ValueError as exc:  # malformed JSON or text encoding
+            raise ProofError(f"cannot read proof script {path}: {exc}") from None
+    return derivation_from_dict(data)
 
 
 def corpus_dir():

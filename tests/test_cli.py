@@ -120,6 +120,24 @@ def test_check_proof_rejects(tmp_path, capsys):
     assert code == 1 and "REJECTED" in out
 
 
+PROOF_TRUNCATED = '{"name": "cut", "target": "p", "lines": [{"formula": "p"'
+PROOF_NO_LINES = json.dumps({"name": "no-lines", "target": "p"})
+PROOF_BAD_REFS = json.dumps({"name": "bad-refs", "target": "[]T", "lines": [
+    {"formula": "T", "rule": "c1"},
+    {"formula": "[]T", "rule": "nec", "refs": ["x"]}]})
+
+
+@pytest.mark.parametrize("text", [PROOF_TRUNCATED, PROOF_NO_LINES,
+                                  PROOF_BAD_REFS],
+                         ids=["truncated", "no-lines", "bad-refs"])
+def test_malformed_proof_script_is_proof_error(tmp_path, capsys, text):
+    path = tmp_path / "proof.json"
+    path.write_text(text)
+    code, out, err = run(capsys, "check-proof", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("proof error:") and len(err.splitlines()) == 1
+
+
 def test_dump_model_with_steps(capsys):
     code, out, _ = run(capsys, "dump-model", "--step", "p", "--json")
     assert code == 0
@@ -171,3 +189,31 @@ def test_explicit_world_config(tmp_path, capsys):
     code, out, _ = run(capsys, "dump-model", "--config", str(cfg), "--json")
     assert code == 0
     assert json.loads(out)["base"]["worlds"] == ["a", "b", "c"]
+
+@pytest.mark.parametrize("data", [
+    {"max_levels": "3"},
+    {"atoms": "pq"},
+    {"atoms": ["p", 1]},
+    {"max_worlds": True},
+    {"schedule": 1},
+    {"output": None},
+    {"output": "xml"},
+    {"measure": ["p"]},
+    {"task_list": "p"},
+    ["atoms", "p"],
+], ids=["str-cap", "str-atoms", "int-atom", "bool-cap", "int-schedule",
+        "null-output", "unknown-output", "list-measure", "str-task-list", "top-level-list"])
+def test_config_value_of_wrong_type_is_config_error(tmp_path, capsys, data):
+    cfg = tmp_path / "engine.json"
+    cfg.write_text(json.dumps(data))
+    code, out, err = run(capsys, "decide", "p", "--config", str(cfg))
+    assert code == 2 and out == ""
+    assert err.startswith("config error:") and len(err.splitlines()) == 1
+
+
+def test_config_not_utf8_is_config_error(tmp_path, capsys):
+    cfg = tmp_path / "engine.json"
+    cfg.write_bytes(b'{"atoms": ["\xff"]}')
+    code, out, err = run(capsys, "decide", "p", "--config", str(cfg))
+    assert code == 2 and out == ""
+    assert err.startswith("config error:") and len(err.splitlines()) == 1

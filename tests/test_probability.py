@@ -9,7 +9,7 @@ from dmbl.formula import parse
 from dmbl.model import ModelState
 from dmbl.probability import (BaseMeasure, MeasureError, MeasureState,
                               bayes_check, init_measure, limit_prob, prob)
-from dmbl.worlds import PropSet
+from dmbl.worlds import PropSet, bit_indices
 
 from genformulas import random_formula
 from oracle import drive_from_state
@@ -208,6 +208,37 @@ def test_extension_matches_naive_reference():
         for n in range(s.num_levels):
             for i, w in enumerate(m.level_weights(n)):
                 assert w == ref[n][maps[n][i]]
+
+
+def test_deep_chain_extension_is_exact():
+    # three base denominators are distinct primes (all four cannot be
+    # pairwise coprime: the weights sum to one), so the shared
+    # denominators and the lcm of the block sums both grow at every level
+    pi = BaseMeasure.from_weights([Fraction(1, 3), Fraction(1, 5),
+                                   Fraction(1, 7), Fraction(34, 105)])
+    s = ModelState.from_atoms(["p", "q"])
+    assign(s, parse("((((q|p)|q)|p /\\ q)|p \\/ q)"))
+    assert [s.width(n) for n in range(s.num_levels)] == [4, 8, 32, 384, 40960]
+    m = init_measure(s, pi)
+    want = list(pi.weights)
+    assert m.level_weights(0) == want
+    for n in range(1, s.num_levels):
+        # P(l) P(r) / P(opposite block), recomputed from the reference chain
+        prev = want
+        blocks = s.history[n - 1].blocks
+        pi_mass = [sum(prev[i] for i in bit_indices(p)) for p, _ in blocks]
+        ga_mass = [sum(prev[i] for i in bit_indices(g)) for _, g in blocks]
+        lvl = s.level(n)
+        want = [prev[l] * prev[r] / (ga_mass[b] if i < lvl.split else pi_mass[b])
+                for i, ((l, r), b) in enumerate(zip(lvl.pairs, lvl.block_of))]
+        got = m.level_weights(n)
+        assert got == want, n
+        assert sum(got) == 1, n
+    for mask in range(1 << 4):
+        a = PropSet(0, mask, 4)
+        base = sum((pi.weights[i] for i in a.indices()), Fraction(0))
+        for n in range(s.num_levels):
+            assert m.weight_of(s, s.lift(a, n)) == base, (mask, n)
 
 
 # --- law battery over random formulas -----------------------------------------
