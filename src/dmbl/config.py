@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .formula import parse
+from .formula import _IDENT_RE, parse
 from .model import ModelState
 from .probability import BaseMeasure, MeasureError
 from .worlds import mask_of
@@ -35,6 +35,9 @@ class EngineConfig:
                     isinstance(names, list)
                     and all(isinstance(x, str) for x in names)):
                 raise ConfigError(f"{key} must be a list of strings")
+        for name in self.atoms or ():
+            if not _IDENT_RE.match(name) or name in ("T", "F"):
+                raise ConfigError(f"atom name {name!r} is not a formula identifier")
         for key in ("max_levels", "max_worlds"):
             if type(getattr(self, key)) is not int:  # a bool is no cap
                 raise ConfigError(f"{key} must be an integer")

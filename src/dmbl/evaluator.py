@@ -76,12 +76,7 @@ def _eval(state: ModelState, g: Formula) -> PropSet:
         v = _eval(state, g.body)
         return state.full(v.level) if v.is_full else state.empty(v.level)
     if isinstance(g, Cond):
-        cons = _eval(state, g.cons)
-        ante = _eval(state, g.ante)
-        cons = state.lift(cons, ante.level)
-        state.ensure(cons, ante)
-        t = state.top
-        return state.f_eval(state.lift(cons, t), state.lift(ante, t))
+        return state.ensure(_eval(state, g.cons), _eval(state, g.ante))
     raise EvaluationError(f"cannot evaluate node {type(g).__name__}; expand first")
 
 
@@ -115,12 +110,7 @@ def independent(state: ModelState, phi: Formula, psi: Formula) -> bool:
     """
     vpsi = assign(state, psi).value
     vphi = assign(state, phi).value
-    vpsi = state.lift(vpsi, state.top)
-    state.ensure(vpsi, vphi)
-    t = state.top
-    vpsi = state.lift(vpsi, t)
-    vphi = state.lift(vphi, t)
-    return state.f_eval(vpsi, vphi) == vpsi
+    return state.ensure(vpsi, vphi) == state.lift(vpsi, state.top)
 
 
 def lewis_escape(state: ModelState, a: PropSet, b: PropSet) -> bool:
@@ -134,11 +124,7 @@ def lewis_escape(state: ModelState, a: PropSet, b: PropSet) -> bool:
         raise EvaluationError("escape test takes level-0 sets")
     if b.is_empty or not b.issubset(a) or b == a or a.is_full:
         raise EvaluationError("escape test needs {} < b < a < full, strictly")
-    state.ensure(b, a)
-    t = state.top
-    la = state.lift(a, t)
-    lb = state.lift(b, t)
-    outside = state.f_eval(lb, la) & la.complement()
+    outside = state.ensure(b, a) & state.lift(a, state.top).complement()
     return state.image_test(outside, 0) is None
 
 

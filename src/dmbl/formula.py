@@ -225,11 +225,22 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
+# Deepest nesting the parser accepts: each ``~``, ``[]``, ``<>``, ``(`` and
+# binary connective opens one level.  The parser and the recursive passes
+# over the tree (expansion, evaluation, printing) need a few interpreter
+# frames per level, so the limit keeps them well inside Python's default
+# recursion limit.
+MAX_DEPTH = 100
+
+_PREFIX = {"not": Not, "box": Box, "dia": Diamond}
+
+
 class _Parser:
     def __init__(self, text: str, atoms):
         self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0
         self.atoms = frozenset(atoms) if atoms is not None else None
 
     def peek(self):
@@ -242,53 +253,67 @@ class _Parser:
         self.pos += 1
         return tok
 
+    def nest(self) -> None:
+        """Consume the current token, opening one level of nesting."""
+        self.depth += 1
+        if self.depth > MAX_DEPTH:
+            raise ParseError(f"formula nested deeper than {MAX_DEPTH} levels",
+                             self.peek()[2])
+        self.pos += 1
+
     def formula(self) -> Formula:
+        depth = self.depth
         out = self.iff()
         while self.peek()[0] == "star":
-            self.pos += 1
+            self.nest()
             out = Indep(out, self.iff())
+        self.depth = depth
         return out
 
     def iff(self) -> Formula:
+        depth = self.depth
         out = self.imp()
         while self.peek()[0] == "iff":
-            self.pos += 1
+            self.nest()
             out = Iff(out, self.imp())
+        self.depth = depth
         return out
 
     def imp(self) -> Formula:
         left = self.disj()
-        if self.peek()[0] == "imp":
-            self.pos += 1
-            return Implies(left, self.imp())
-        return left
+        if self.peek()[0] != "imp":
+            return left
+        self.nest()
+        out = Implies(left, self.imp())
+        self.depth -= 1
+        return out
 
     def disj(self) -> Formula:
+        depth = self.depth
         out = self.conj()
         while self.peek()[0] == "or":
-            self.pos += 1
+            self.nest()
             out = Or(out, self.conj())
+        self.depth = depth
         return out
 
     def conj(self) -> Formula:
+        depth = self.depth
         out = self.unary()
         while self.peek()[0] == "and":
-            self.pos += 1
+            self.nest()
             out = And(out, self.unary())
+        self.depth = depth
         return out
 
     def unary(self) -> Formula:
-        kind, _, _ = self.peek()
-        if kind == "not":
-            self.pos += 1
-            return Not(self.unary())
-        if kind == "box":
-            self.pos += 1
-            return Box(self.unary())
-        if kind == "dia":
-            self.pos += 1
-            return Diamond(self.unary())
-        return self.atom_expr()
+        node = _PREFIX.get(self.peek()[0])
+        if node is None:
+            return self.atom_expr()
+        self.nest()
+        out = node(self.unary())
+        self.depth -= 1
+        return out
 
     def atom_expr(self) -> Formula:
         kind, value, offset = self.peek()
@@ -302,16 +327,16 @@ class _Parser:
                 raise UnknownAtomError(value, offset)
             return Atom(value)
         if kind == "lp":
-            self.pos += 1
-            inner = self.formula()
-            kind2, _, _ = self.peek()
-            if kind2 == "bar":
+            self.nest()
+            out = self.formula()
+            if self.peek()[0] == "bar":
                 self.pos += 1
-                ante = self.formula()
+                out = Cond(out, self.formula())
                 self.take("rp", (")",))
-                return Cond(inner, ante)
-            self.take("rp", (")", "|"))
-            return inner
+            else:
+                self.take("rp", (")", "|"))
+            self.depth -= 1
+            return out
         raise ParseError(
             f"unexpected token {value or 'end of input'!r}",
             offset,

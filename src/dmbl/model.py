@@ -310,12 +310,15 @@ class ModelState:
         return PropSet(ps.level, out, ps.width)
 
     def _pull_once(self, mask: int, level: int) -> Optional[int]:
-        lvl = self._levels[level]
+        # each parent's run must lie wholly inside or wholly outside the mask
         parents = 0
-        for w in bit_indices(mask):
-            parents |= 1 << lvl.lefts[w]
-        if self._mu_mask(parents, level - 1) != mask:
-            return None
+        for p, (s, e) in enumerate(self._levels[level].runs):
+            ones = (1 << (e - s)) - 1
+            run = (mask >> s) & ones
+            if run == ones:
+                parents |= 1 << p
+            elif run:
+                return None
         return parents
 
     def image_test(self, ps: PropSet, src_level: int) -> Optional[PropSet]:
@@ -346,37 +349,21 @@ class ModelState:
                 return i, False
         return None
 
-    def is_defined(self, b: PropSet, a: PropSet) -> bool:
-        """Whether ``f_eval(b, a)`` would succeed without a further step."""
-        if a.is_empty or a.is_full:
-            return True
-        a_top = self.lift(a, self.top)
-        if a_top.is_empty or a_top.is_full:
-            return True
-        match = self._find_match(a_top.mask)
-        if match is None:
-            return False
-        base = self.history[match[0]].level + 1
-        b_high = self.lift(b, max(b.level, base))
-        return self.image_test(b_high, base) is not None
+    def _conditional(self, b: PropSet, a: PropSet) -> Optional[PropSet]:
+        """``f(b, a)`` at the higher of the operands' and the defining level.
 
-    def f_eval(self, b: PropSet, a: PropSet) -> PropSet:
-        """The conditional value ``f(b, a)``.
-
-        Conditioning on the empty or full set is the identity.  Otherwise
-        the value is obtained at the level right after the step that last
-        processed ``a``'s family, via the closed form, and lifted back up.
-        Raises :class:`UndefinedConditionalError` when ``ensure`` is needed.
+        None when the pair is not defined yet: ``a``'s family was never
+        processed, or ``b`` does not embed at the level right after the
+        step that last processed it.
         """
         n = max(b.level, a.level)
         a = self.lift(a, n)
         b = self.lift(b, n)
         if a.is_empty or a.is_full:
             return b
-        a_top = self.lift(a, self.top)
-        match = self._find_match(a_top.mask)
+        match = self._find_match(self.lift(a, self.top).mask)
         if match is None:
-            raise UndefinedConditionalError("event never processed; run ensure first")
+            return None
         idx, direct = match
         base = self.history[idx].level + 1
         if base > n:
@@ -384,9 +371,7 @@ class ModelState:
             b = self.lift(b, n)
         pulled = self.image_test(b, base)
         if pulled is None:
-            raise UndefinedConditionalError(
-                "argument does not embed at the event's defining level; "
-                "run ensure first")
+            return None
         lvl = self._levels[base]
         ev = lvl.event_image_mask
         co = lvl.full_mask ^ ev
@@ -397,6 +382,25 @@ class ModelState:
         else:
             r = (tc & ev) | (c & co)
         return self.lift(PropSet(base, r, lvl.width), n)
+
+    def is_defined(self, b: PropSet, a: PropSet) -> bool:
+        """Whether ``f_eval(b, a)`` would succeed without a further step."""
+        return self._conditional(b, a) is not None
+
+    def f_eval(self, b: PropSet, a: PropSet) -> PropSet:
+        """The conditional value ``f(b, a)``.
+
+        Conditioning on the empty or full set is the identity.  Otherwise
+        the value is obtained at the level right after the step that last
+        processed ``a``'s family, via the closed form, and lifted back up
+        to the higher of that level and the operands' levels.  Raises
+        :class:`UndefinedConditionalError` when ``ensure`` is needed.
+        """
+        value = self._conditional(b, a)
+        if value is None:
+            raise UndefinedConditionalError(
+                "pair not defined by the steps so far; run ensure first")
+        return value
 
     # --- stepping ----------------------------------------------------------
 
@@ -416,6 +420,7 @@ class ModelState:
         if n + 1 > self.max_levels:
             raise CapExceededError(f"level cap {self.max_levels} reached")
 
+        full = (1 << self.width(n)) - 1
         if self.mode == "canonical":
             if event is not None:
                 raise ScheduleError("canonical mode draws events from the task list")
@@ -424,33 +429,27 @@ class ModelState:
             if event is None:
                 raise ScheduleError("demand mode needs an explicit event")
             b_mask = self.lift(event, n).mask
-            full = (1 << self.width(n)) - 1
             if b_mask in (0, full):
                 raise DegenerateEventError(
                     "conditioning on the empty or full set needs no step")
-            match = self._find_match(b_mask)
-            if match is not None and not match[1]:
-                b_mask ^= full    # re-process the prior orientation
 
-        full = (1 << self.width(n)) - 1
         match = self._find_match(b_mask)
-        if match is not None:
-            nu_idx, direct = match
-            if not direct:
-                raise ScheduleError("event complement matched after normalization")
-            prior = self.history[nu_idx]
-            base = prior.level + 1
-            base_lvl = self._levels[base]
-            blocks = []
-            for w in bit_indices(base_lvl.event_image_mask):
-                partner = base_lvl.transpose_perm[w]
-                pi = self._lift_mask(1 << w, base, n)
-                ga = self._lift_mask(1 << partner, base, n)
-                blocks.append((pi, ga))
-            case, nu = 0, nu_idx
-        else:
+        if match is None:
             blocks = [(b_mask, b_mask ^ full)]
             case, nu = 1, None
+        else:
+            nu, direct = match
+            if not direct:
+                if self.mode == "canonical":
+                    raise ScheduleError(
+                        "task list drew the complement of a processed event")
+                b_mask ^= full    # re-process the prior orientation
+            base = self.history[nu].level + 1
+            base_lvl = self._levels[base]
+            blocks = [(self._lift_mask(1 << w, base, n),
+                       self._lift_mask(1 << base_lvl.transpose_perm[w], base, n))
+                      for w in bit_indices(base_lvl.event_image_mask)]
+            case = 0
 
         new_width = sum(2 * p.bit_count() * g.bit_count() for p, g in blocks)
         if new_width > self.max_worlds:
@@ -467,23 +466,29 @@ class ModelState:
         if self.mode == "canonical":
             self._canonical_push(n, b_mask)
 
-    def ensure(self, b: PropSet, a: PropSet) -> None:
-        """Run steps until ``f_eval(b, a)`` is defined.
+    def ensure(self, b: PropSet, a: PropSet) -> PropSet:
+        """Run steps until ``f(b, a)`` is defined; return it at the top level.
 
+        The value equals ``lift(f_eval(b, a), top)`` after the steps.
         Demand mode needs at most one step (processing ``a``'s family at
         the top level).  Canonical mode advances the task list until the
-        pair is defined, which may hit the resource caps.
+        pair is defined, which may hit the resource caps.  A snapshot
+        returns a defined pair's value and raises
+        :class:`FrozenStateError` for any other.
         """
-        if self.is_defined(b, a):
-            return
-        self._assert_writable()
-        if self.mode == "demand":
-            self.step(self.lift(a, self.top))
-            if not self.is_defined(b, a):
-                raise ModelError("internal error: step did not define the pair")
-        else:
-            while not self.is_defined(b, a):
-                self.step()
+        value = self._conditional(b, a)
+        if value is None:
+            self._assert_writable()
+            if self.mode == "demand":
+                self.step(self.lift(a, self.top))
+                value = self._conditional(b, a)
+                if value is None:
+                    raise ModelError("internal error: step did not define the pair")
+            else:
+                while value is None:
+                    self.step()
+                    value = self._conditional(b, a)
+        return self.lift(value, self.top)
 
     # --- canonical task list -----------------------------------------------
 

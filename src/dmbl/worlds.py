@@ -10,6 +10,7 @@ same order).  A set of worlds is a bitmask over that index space.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 
 class WorldsError(Exception):
@@ -108,6 +109,7 @@ class PropSet:
         return bool(self.mask >> index & 1)
 
 
+@dataclass(frozen=True)
 class Level:
     """One constructed level: the world table and its derived indexes.
 
@@ -116,29 +118,16 @@ class Level:
     of the processed event; ``[split, width)`` its complement.  ``runs[p]``
     is the contiguous index range of the worlds whose left component is
     ``p``; it realizes the inclusion morphism from the previous level.
+    ``transpose_perm[i]`` is the index of the swapped pair of world ``i``.
     """
 
-    __slots__ = (
-        "index",
-        "width",
-        "pairs",
-        "lefts",
-        "split",
-        "block_of",
-        "transpose_perm",
-        "runs",
-    )
-
-    def __init__(self, index, width, pairs=None, lefts=None, split=None,
-                 block_of=None, transpose_perm=None, runs=None):
-        self.index = index
-        self.width = width
-        self.pairs = pairs
-        self.lefts = lefts
-        self.split = split
-        self.block_of = block_of
-        self.transpose_perm = transpose_perm
-        self.runs = runs
+    index: int
+    width: int
+    pairs: Optional[list] = None
+    split: Optional[int] = None
+    block_of: Optional[list] = None
+    transpose_perm: Optional[list] = None
+    runs: Optional[list] = None
 
     @property
     def full_mask(self) -> int:
@@ -154,50 +143,39 @@ def build_level(index: int, prev_width: int, blocks) -> Level:
     """Assemble the next level from block masks ``[(pi, gamma), ...]``.
 
     The blocks must partition the event and its complement at the previous
-    level (disjoint Pi's, disjoint Gamma's, Pi's disjoint from Gamma's).
+    level (disjoint Pi's, disjoint Gamma's, Pi's disjoint from Gamma's,
+    none empty).  Each previous-level world ``x`` lies in exactly one Pi or
+    one Gamma, so emitting each side's pairs ``(x, y)`` by ascending ``x``,
+    with ``y`` running over the other half of ``x``'s block, gives the
+    lexicographic table order directly.
     """
-    part_a = []
-    part_b = []
+    # per world: on the Pi side?, its block, its partners, its position
+    where: list = [None] * prev_width
     for bi, (pi, ga) in enumerate(blocks):
         pi_idx = bit_indices(pi)
         ga_idx = bit_indices(ga)
-        for x in pi_idx:
-            for y in ga_idx:
-                part_a.append((x, y, bi))
-        for x in ga_idx:
-            for y in pi_idx:
-                part_b.append((x, y, bi))
-    part_a.sort(key=lambda t: (t[0], t[1]))
-    part_b.sort(key=lambda t: (t[0], t[1]))
-    entries = part_a + part_b
-    width = len(entries)
-    pairs = [(l, r) for (l, r, _) in entries]
-    block_of = [b for (_, _, b) in entries]
-    lefts = [l for (l, _) in pairs]
-
-    runs: list = [None] * prev_width
-    for i, (l, _) in enumerate(pairs):
-        run = runs[l]
-        if run is None:
-            runs[l] = [i, i + 1]
-        else:
-            if run[1] != i:
-                raise WorldsError("world table lost left-contiguity")
-            run[1] = i + 1
-    if any(r is None for r in runs):
+        for on_pi, members, partners in ((True, pi_idx, ga_idx),
+                                         (False, ga_idx, pi_idx)):
+            for k, x in enumerate(members):
+                if where[x] is not None:
+                    raise WorldsError(f"blocks list world {x} twice")
+                where[x] = (on_pi, bi, partners, k)
+    if not all(w and w[2] for w in where):
         raise WorldsError("blocks do not cover the previous level")
-    runs = [tuple(r) for r in runs]
 
-    pos = {pair: i for i, pair in enumerate(pairs)}
-    transpose_perm = [pos[(r, l)] for (l, r) in pairs]
+    pairs: list = []
+    block_of: list = []
+    runs: list = [None] * prev_width
+    split = 0
+    for side in (True, False):
+        for x, (on_pi, bi, partners, _) in enumerate(where):
+            if on_pi is side:
+                runs[x] = (len(pairs), len(pairs) + len(partners))
+                pairs += [(x, y) for y in partners]
+                block_of += [bi] * len(partners)
+        if side:
+            split = len(pairs)
+    # (l, r) swaps to (r, l), which sits in r's run at l's position
+    transpose_perm = [runs[r][0] + where[l][3] for l, r in pairs]
 
-    return Level(
-        index=index,
-        width=width,
-        pairs=pairs,
-        lefts=lefts,
-        split=len(part_a),
-        block_of=block_of,
-        transpose_perm=transpose_perm,
-        runs=runs,
-    )
+    return Level(index, len(pairs), pairs, split, block_of, transpose_perm, runs)

@@ -217,3 +217,38 @@ def test_config_not_utf8_is_config_error(tmp_path, capsys):
     code, out, err = run(capsys, "decide", "p", "--config", str(cfg))
     assert code == 2 and out == ""
     assert err.startswith("config error:") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["parse", "~" * 3000 + "p"],
+    ["decide", "(" * 600 + "p" + ")" * 600],
+    ["decide", " -> ".join(["p"] * 1000)],
+], ids=["3000-negations", "600-parentheses", "1000-implications"])
+def test_deep_nesting_is_parse_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("parse error:") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("text", ["(" * 100 + "p" + ")" * 100, "~" * 100 + "p"],
+                         ids=["100-parentheses", "100-negations"])
+def test_nesting_at_the_limit_parses_and_decides(capsys, text):
+    assert run(capsys, "parse", text)[0] == 0
+    code, out, _ = run(capsys, "decide", text)
+    assert code == 1 and "not-a-theorem" in out
+
+
+@pytest.mark.parametrize("atoms", [["p q"], ["p", "T"], ["F"], ["1p"], [""]])
+def test_config_atom_not_an_identifier_is_config_error(tmp_path, capsys, atoms):
+    cfg = tmp_path / "engine.json"
+    cfg.write_text(json.dumps({"atoms": atoms}))
+    code, out, err = run(capsys, "prob", "p", "--config", str(cfg))
+    assert code == 2 and out == ""
+    assert err.startswith("config error:") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("flag", ["p q,r", "p,T"])
+def test_atoms_flag_not_an_identifier_is_config_error(capsys, flag):
+    code, out, err = run(capsys, "prob", "p", "--atoms", flag)
+    assert code == 2 and out == ""
+    assert err.startswith("config error:") and len(err.splitlines()) == 1

@@ -66,6 +66,21 @@ def test_trailing_garbage_rejected():
         parse("p q")
 
 
+def test_nesting_limit_reports_offset():
+    for text in ("~" * 100 + "p", "(" * 100 + "p" + ")" * 100,
+                 " /\\ ".join(["p"] * 101)):
+        parse(text)
+    for text, offset in (("~" * 101 + "p", 100), ("[]" * 101 + "p", 200),
+                         ("(" * 101 + "p" + ")" * 101, 100),
+                         (" -> ".join(["p"] * 102), 502),
+                         (" \\/ ".join(["p"] * 102), 502),
+                         ("(" * 100 + "p /\\ q" + ")" * 100, 102)):
+        with pytest.raises(ParseError) as info:
+            parse(text)
+        assert info.value.offset == offset
+        assert "nested deeper than 100" in str(info.value)
+
+
 def test_expand_independence_matches_definition():
     got = expand(parse("q * p"))
     want = Box(And(Implies(Cond(Atom("q"), Atom("p")), Atom("q")),

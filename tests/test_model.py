@@ -170,6 +170,38 @@ def test_ensure_no_step_against_just_processed_event():
     assert s.num_levels == 2
 
 
+@pytest.mark.parametrize("mode", ["demand", "canonical"])
+def test_ensure_returns_lifted_conditional(mode):
+    s = ModelState.from_atoms(["p", "q"], schedule=mode)
+    p, q = s.h("p"), s.h("q")
+    pairs = [(lambda: q, lambda: p),
+             (lambda: s.lift(q, s.top), lambda: p.complement()),
+             (lambda: q, lambda: s.empty(0))]
+    if mode == "demand":   # canonical mode reaches these only past the caps
+        pairs += [(lambda: p, lambda: q),
+                  (lambda: PropSet(s.top, 0b1011, s.width(s.top)), lambda: p)]
+    for b_fn, a_fn in pairs:
+        b, a = b_fn(), a_fn()
+        levels = s.num_levels
+        got = s.ensure(b, a)
+        assert got.level == s.top
+        assert got == s.lift(s.f_eval(b, a), s.top)
+        if mode == "demand":
+            assert s.num_levels - levels <= 1
+
+
+def test_ensure_on_snapshot_returns_without_growth():
+    s = ModelState.from_atoms(["p", "q"])
+    s.ensure(s.h("q"), s.h("p"))
+    snap = s.snapshot()
+    got = snap.ensure(snap.h("q"), snap.h("p"))
+    assert snap.num_levels == 2
+    assert got == snap.lift(snap.f_eval(snap.h("q"), snap.h("p")), 1)
+    with pytest.raises(FrozenStateError):
+        snap.ensure(snap.h("p"), snap.h("q"))
+    assert snap.num_levels == 2
+
+
 def test_atom_assignments_commute_with_embedding():
     s = ModelState.from_atoms(["p", "q"])
     s.step(s.h("p"))

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from dmbl.model import DegenerateEventError, ModelState
-from dmbl.worlds import LevelMismatchError, PropSet
+from dmbl.worlds import (LevelMismatchError, PropSet, WorldsError,
+                         bit_indices, build_level)
 
 from oracle import drive_from_state, to_set
 
@@ -164,3 +165,69 @@ def test_mu_matches_naive_reference(seed):
     w = s.width(n)
     a = PropSet(n, rng.randrange(1 << w), w)
     assert to_set(maps, s.mu(a)) == om.mu(n, to_set(maps, a))
+
+
+def _reference_level(prev_width, blocks):
+    # the table built by sorting every (left, right, block) entry and
+    # finding each swap partner through a dict over all pairs
+    part_a = []
+    part_b = []
+    for bi, (pi, ga) in enumerate(blocks):
+        for x in bit_indices(pi):
+            for y in bit_indices(ga):
+                part_a.append((x, y, bi))
+        for x in bit_indices(ga):
+            for y in bit_indices(pi):
+                part_b.append((x, y, bi))
+    part_a.sort(key=lambda t: (t[0], t[1]))
+    part_b.sort(key=lambda t: (t[0], t[1]))
+    entries = part_a + part_b
+    pairs = [(l, r) for (l, r, _) in entries]
+    runs = {}
+    for i, (l, _) in enumerate(pairs):
+        runs[l] = (runs.get(l, (i, i))[0], i + 1)
+    pos = {pair: i for i, pair in enumerate(pairs)}
+    return {
+        "pairs": pairs,
+        "block_of": [b for (_, _, b) in entries],
+        "split": len(part_a),
+        "runs": [runs[x] for x in range(prev_width)],
+        "transpose_perm": [pos[(r, l)] for (l, r) in pairs],
+    }
+
+
+def _random_blocks(rng, prev_width):
+    # a random event, split into k Pi's, its complement into k Gamma's
+    event = rng.sample(range(prev_width), rng.randrange(1, prev_width))
+    rest = [x for x in range(prev_width) if x not in event]
+    k = rng.randint(1, min(len(event), len(rest)))
+    pis = [0] * k
+    gas = [0] * k
+    for parts, members in ((pis, event), (gas, rest)):
+        rng.shuffle(members)
+        for j, x in enumerate(members):
+            parts[j if j < k else rng.randrange(k)] |= 1 << x
+    return list(zip(pis, gas))
+
+
+@given(st.integers(min_value=0, max_value=5_000))
+def test_build_level_matches_sorted_reference(seed):
+    rng = random.Random(seed)
+    prev_width = rng.randint(2, 9)
+    blocks = _random_blocks(rng, prev_width)
+    lvl = build_level(3, prev_width, blocks)
+    want = _reference_level(prev_width, blocks)
+    assert lvl.index == 3 and lvl.width == len(want["pairs"])
+    for key, value in want.items():
+        assert getattr(lvl, key) == value, key
+
+
+def test_build_level_rejects_bad_blocks():
+    with pytest.raises(WorldsError):          # world 3 uncovered
+        build_level(1, 4, [(0b0011, 0b0100)])
+    with pytest.raises(WorldsError):          # empty Gamma leaves 0, 1 pairless
+        build_level(1, 4, [(0b0011, 0), (0, 0b1100)])
+    with pytest.raises(WorldsError):          # world 0 in two Pi's
+        build_level(1, 4, [(0b0011, 0b0100), (0b0001, 0b1000)])
+    with pytest.raises(WorldsError):          # world 1 in a Pi and a Gamma
+        build_level(1, 4, [(0b0011, 0b0100), (0b1000, 0b0010)])
