@@ -25,6 +25,17 @@ _EXPECTED_LEVEL1 = [["a", "c"], ["b", "c"], ["c", "a"], ["c", "b"]]
 _EXPECTED_WEIGHTS = ["1/5", "3/10", "1/5", "3/10"]
 
 
+class _UsageError(Exception):
+    pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises on a bad command line, so ``main`` reports it in one line."""
+
+    def error(self, message):
+        raise _UsageError(f"{self.prog}: {message}")
+
+
 def _common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", help="engine config file (JSON)")
     sub.add_argument("--atoms", help="comma-separated atom names")
@@ -303,7 +314,7 @@ def cmd_fixtures(cfg, args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="dmbl",
         description="conditional-logic engine: model construction, decisions, "
                     "probabilities, proof checking")
@@ -373,11 +384,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         cfg = _make_config(args)
         return args.func(cfg, args)
+    except _UsageError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        return 2
     except FormulaError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2

@@ -154,6 +154,7 @@ class ModelState:
                 raise ModelError("atoms must be a nonempty list of distinct names")
             k = len(atoms)
             width = 1 << k
+            self._check_width([], width)
             self.atoms = atoms
             self._labels = []
             self._h0 = {a: 0 for a in atoms}
@@ -168,6 +169,7 @@ class ModelState:
             worlds = list(worlds)
             if not worlds or len(set(worlds)) != len(worlds):
                 raise ModelError("base worlds must be nonempty and distinct")
+            self._check_width([], len(worlds))
             self.atoms = ()
             self._labels = [str(w) for w in worlds]
             self._h0 = {}
@@ -199,6 +201,12 @@ class ModelState:
     @classmethod
     def from_worlds(cls, labels, **kw) -> "ModelState":
         return cls(worlds=labels, **kw)
+
+    def _check_width(self, ladder: list[int], width: int) -> None:
+        """Refuse a level past ``max_worlds`` before building it."""
+        if width > self.max_worlds:
+            steps = " → ".join(str(w) for w in ladder + [width])
+            raise CapExceededError(f"level too wide: {steps} > cap {self.max_worlds}")
 
     @staticmethod
     def _validate_task_list(task_list, width: int) -> None:
@@ -303,11 +311,7 @@ class ModelState:
         """Image under the coordinate swap of the level's pairing."""
         if ps.level < 1:
             raise ModelError("transpose is undefined at level 0")
-        perm = self._levels[ps.level].transpose_perm
-        out = 0
-        for w in bit_indices(ps.mask):
-            out |= 1 << perm[w]
-        return PropSet(ps.level, out, ps.width)
+        return PropSet(ps.level, self._levels[ps.level].transpose(ps.mask), ps.width)
 
     def _pull_once(self, mask: int, level: int) -> Optional[int]:
         # each parent's run must lie wholly inside or wholly outside the mask
@@ -372,16 +376,11 @@ class ModelState:
         pulled = self.image_test(b, base)
         if pulled is None:
             return None
-        lvl = self._levels[base]
-        ev = lvl.event_image_mask
-        co = lvl.full_mask ^ ev
-        c = pulled.mask
-        tc = self.transpose(pulled).mask
-        if direct:
-            r = (c & ev) | (tc & co)
-        else:
-            r = (tc & ev) | (c & co)
-        return self.lift(PropSet(base, r, lvl.width), n)
+        c, tc = pulled.mask, self.transpose(pulled).mask
+        if not direct:
+            c, tc = tc, c
+        ev = self._levels[base].event_image_mask
+        return self.lift(PropSet(base, (c & ev) | (tc & ~ev), pulled.width), n)
 
     def is_defined(self, b: PropSet, a: PropSet) -> bool:
         """Whether ``f_eval(b, a)`` would succeed without a further step."""
@@ -445,16 +444,16 @@ class ModelState:
                         "task list drew the complement of a processed event")
                 b_mask ^= full    # re-process the prior orientation
             base = self.history[nu].level + 1
-            base_lvl = self._levels[base]
+            runs, where = self._levels[base].runs, self._levels[base].where
+            # a block per Pi x Gamma world (l, r) and its swap (r, l)
             blocks = [(self._lift_mask(1 << w, base, n),
-                       self._lift_mask(1 << base_lvl.transpose_perm[w], base, n))
-                      for w in bit_indices(base_lvl.event_image_mask)]
+                       self._lift_mask(1 << (runs[r][0] + where[l][3]), base, n))
+                      for l in self._levels[base].rows if where[l][0]
+                      for w, r in enumerate(where[l][2], runs[l][0])]
             case = 0
 
-        new_width = sum(2 * p.bit_count() * g.bit_count() for p, g in blocks)
-        if new_width > self.max_worlds:
-            raise CapExceededError(
-                f"next level would have {new_width} worlds (cap {self.max_worlds})")
+        self._check_width([lvl.width for lvl in self._levels],
+                          sum(2 * p.bit_count() * g.bit_count() for p, g in blocks))
 
         self._levels.append(build_level(n + 1, self.width(n), blocks))
         self._event_lifts = [self._mu_mask(m, n) for m in self._event_lifts]

@@ -26,7 +26,6 @@ from typing import NamedTuple
 from .evaluator import assign
 from .formula import And, Cond, Formula
 from .model import ModelError, ModelState
-from .worlds import bit_indices
 
 
 class MeasureError(ModelError):
@@ -127,38 +126,34 @@ class MeasureState:
         return scale, [scale // s for s in sums]
 
     def _extend_one(self, state: ModelState) -> None:
+        """Extend by one level, row by row: row ``x`` scales ``w[x]`` by its
+        block's factor once and multiplies that into its partners' weights."""
         n = self.extended_through()
         if n >= state.top:
             raise MeasureError(f"level {n + 1} not built in the model")
         w = self._levels[n]
-        pi_sums = []
-        ga_sums = []
-        for p_mask, g_mask in state.history[n].blocks:
-            ps = sum([w[i] for i in bit_indices(p_mask)])
-            gs = sum([w[i] for i in bit_indices(g_mask)])
-            if ps == 0 or gs == 0:
-                raise MeasureError(
-                    "zero-weight block: extension needs a strictly positive "
-                    "base measure (use the perturbation limit instead)")
-            pi_sums.append(ps)
-            ga_sums.append(gs)
-        scale, factors = self._scale(pi_sums + ga_sums)
-        # the Pi x Gamma side divides by the Gamma sum, Gamma x Pi by the Pi sum
-        over_pi, over_ga = factors[:len(pi_sums)], factors[len(pi_sums):]
         lvl = state.level(n + 1)
-        pairs, blocks, split = lvl.pairs, lvl.block_of, lvl.split
-        out = [w[l] * w[r] * over_ga[b]
-               for (l, r), b in zip(pairs[:split], blocks[:split])]
-        out += [w[l] * w[r] * over_pi[b]
-                for (l, r), b in zip(pairs[split:], blocks[split:])]
+        # half 2b holds block b's Pi weights, half 2b + 1 its Gamma weights
+        halves = [[w[x] for x in half] for block in lvl.blocks for half in block]
+        sums = [sum(h) for h in halves]
+        if 0 in sums:
+            raise MeasureError(
+                "zero-weight block: extension needs a strictly positive "
+                "base measure (use the perturbation limit instead)")
+        scale, factors = self._scale(sums)
+        out: list = []
+        where = lvl.where
+        for x in lvl.rows:
+            # a Pi row pairs with its Gamma half and divides by its sum
+            k = 2 * where[x][1] + where[x][0]
+            out += map((w[x] * factors[k]).__mul__, halves[k])
         self._levels.append(out)
         self._denoms.append(self._denoms[n] * scale)
 
     def _mass(self, state: ModelState, value):
         """Sum of the stored weights of ``value``'s worlds."""
         self.extend_to(state, value.level)
-        w = self._levels[value.level]
-        return sum([w[i] for i in value.indices()])
+        return sum(value.select(self._levels[value.level]))
 
     def weight_of(self, state: ModelState, value) -> Fraction:
         return Fraction(self._mass(state, value), self._denoms[value.level])

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from dmbl import __version__
 from dmbl.cli import main
 from dmbl.proofs import corpus_dir
 
@@ -72,6 +73,47 @@ def test_cap_exceeded_is_model_error(capsys):
     code, _, err = run(capsys, "decide", "(q|p) -> q", "--max-worlds", "4")
     assert code == 2
     assert err.startswith("model error:")
+
+
+def test_cap_error_names_the_width_ladder(capsys):
+    # a fifth fresh conditional on the depth-4 p,q chain
+    code, _, err = run(capsys, "decide",
+                       "((((((q|p)|q)|p /\\ q)|p \\/ q)|p <-> q) -> p)")
+    assert code == 2
+    assert err == ("model error: level too wide: "
+                   "4 → 8 → 32 → 384 → 40960 → 536870912 > cap 200000\n")
+
+
+def test_base_level_is_capped(capsys):
+    code, _, err = run(capsys, "decide", "p", "--atoms", "a,b,c,d,p",
+                       "--max-worlds", "10")
+    assert code == 2
+    assert err == "model error: level too wide: 32 > cap 10\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["decide", "p", "--max-levels", "x"],
+    ["decide", "p", "--schedule", "fifo"],
+    ["decide"],
+    ["frobnicate", "p"],
+    [],
+])
+def test_usage_error_is_one_line(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("usage error: dmbl") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("flag", ["--help", "--version"])
+def test_help_and_version_still_exit_zero(capsys, flag):
+    with pytest.raises(SystemExit) as exc:
+        main([flag])
+    out = capsys.readouterr()
+    assert exc.value.code == 0 and out.err == ""
+    if flag == "--help":
+        assert out.out.startswith("usage: dmbl")
+    else:
+        assert out.out == f"{__version__}\n"
 
 
 @pytest.mark.parametrize("flag", ["--max-levels", "--max-worlds"])

@@ -314,6 +314,12 @@ def test_caps_reported():
     s2.step(s2.h("p"))
     with pytest.raises(CapExceededError):
         s2.step(s2.lift(s2.h("q"), 1))
+    # the base level is capped too, before it is built
+    with pytest.raises(CapExceededError, match="level too wide: 8 > cap 7"):
+        ModelState.from_atoms(["p", "q", "r"], max_worlds=7)
+    with pytest.raises(CapExceededError, match="level too wide: 3 > cap 2"):
+        ModelState.from_worlds(["a", "b", "c"], max_worlds=2)
+    assert ModelState.from_worlds(["a", "b"], max_worlds=2).width(0) == 2
 
 
 def test_snapshot_is_read_only():

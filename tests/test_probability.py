@@ -241,6 +241,31 @@ def test_deep_chain_extension_is_exact():
             assert m.weight_of(s, s.lift(a, n)) == base, (mask, n)
 
 
+def test_weight_of_after_case_zero_step_sums_level_weights():
+    # re-processing p gives a level of four blocks, one per world of the
+    # first step's Pi x Gamma side
+    s = ModelState.from_atoms(["p", "q"])
+    s.step(s.h("p"))
+    s.step(s.lift(s.h("q"), 1))
+    s.step(s.lift(s.h("p"), 2))
+    assert [ev.case for ev in s.history] == [1, 1, 0]
+    assert len(s.history[2].blocks) == 4
+    pi = BaseMeasure.from_weights([Fraction(1, 3), Fraction(1, 5),
+                                   Fraction(1, 7), Fraction(34, 105)])
+    m = init_measure(s, pi)
+    om, maps = drive_from_state(s)
+    ref = om.extend_measure(dict(zip(maps[0], pi.weights)))
+    rng = random.Random(5)
+    for n in range(s.num_levels):
+        width = s.width(n)
+        weights = m.level_weights(n)
+        assert weights == [ref[n][world] for world in maps[n]]
+        masks = [0, (1 << width) - 1] + [rng.randrange(1 << width) for _ in range(40)]
+        for mask in masks:
+            want = sum((weights[i] for i in bit_indices(mask)), Fraction(0))
+            assert m.weight_of(s, PropSet(n, mask, width)) == want, (n, mask)
+
+
 # --- law battery over random formulas -----------------------------------------
 
 

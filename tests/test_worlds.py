@@ -217,9 +217,31 @@ def test_build_level_matches_sorted_reference(seed):
     blocks = _random_blocks(rng, prev_width)
     lvl = build_level(3, prev_width, blocks)
     want = _reference_level(prev_width, blocks)
+    perm = want.pop("transpose_perm")
     assert lvl.index == 3 and lvl.width == len(want["pairs"])
     for key, value in want.items():
         assert getattr(lvl, key) == value, key
+    for i, j in enumerate(perm):
+        assert lvl.transpose(1 << i) == 1 << j
+        assert lvl._transpose_rows(1 << i) == lvl._transpose_bits(1 << i) == 1 << j
+
+
+@given(st.integers(min_value=0, max_value=5_000))
+def test_transpose_matches_bitwise_reference(seed):
+    # levels of several blocks, which no single fresh step builds, through
+    # both the bit walk of narrow levels and the row pass of wide ones
+    rng = random.Random(seed)
+    prev_width = rng.randint(2, 16)
+    blocks = _random_blocks(rng, prev_width)
+    lvl = build_level(1, prev_width, blocks)
+    perm = _reference_level(prev_width, blocks)["transpose_perm"]
+    mask = rng.randrange(1 << lvl.width)
+    want = 0
+    for i in bit_indices(mask):
+        want |= 1 << perm[i]
+    for swap in (lvl.transpose, lvl._transpose_bits, lvl._transpose_rows):
+        assert swap(mask) == want
+        assert swap(want) == mask
 
 
 def test_build_level_rejects_bad_blocks():
