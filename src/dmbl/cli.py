@@ -8,6 +8,7 @@ every report to a stable JSON rendering.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import replace
@@ -16,13 +17,16 @@ from fractions import Fraction
 from . import __version__
 from .config import ConfigError, EngineConfig, build_measure, build_state, load_config
 from .evaluator import assign, decide, diagnose_b6, independent, lewis_escape
-from .formula import FormulaError, atoms_of, expand, is_box_free, parse, to_text
+from .formula import (FormulaError, atoms_of, expand, expanded_size, is_box_free,
+                      parse, to_text)
 from .model import ModelError, ModelState
 from .probability import BayesResult, MeasureError, bayes_check, init_measure, prob
 from .proofs import ProofError, check, load_derivation
 
 _EXPECTED_LEVEL1 = [["a", "c"], ["b", "c"], ["c", "a"], ["c", "b"]]
 _EXPECTED_WEIGHTS = ["1/5", "3/10", "1/5", "3/10"]
+# largest expansion ``dmbl parse`` prints, in formula nodes
+MAX_EXPANSION = 100_000
 
 
 class _UsageError(Exception):
@@ -82,6 +86,10 @@ def _fraction_fields(x: Fraction) -> dict:
 def cmd_parse(cfg, args) -> int:
     state = build_state(cfg)
     f = _parse_formula(args.formula, state)
+    size = expanded_size(f)
+    if size > MAX_EXPANSION:
+        raise FormulaError(f"expansion too large to print: {size} nodes > "
+                           f"bound {MAX_EXPANSION}")
     report = {
         "command": "parse",
         "formula": to_text(f),
@@ -313,101 +321,58 @@ def cmd_fixtures(cfg, args) -> int:
     return 0 if ok else 1
 
 
+# name, help, positional arguments (a name, or a (name, nargs) pair), handler
+COMMANDS = [
+    ("parse", "parse a formula and show its expansion", ["formula"], cmd_parse),
+    ("decide", "decide box-free theoremhood", ["formula"], cmd_decide),
+    ("eval", "dump a formula's world set", ["formula"], cmd_eval),
+    ("indep", "test logical independence psi * phi", ["phi", "psi"], cmd_indep),
+    ("prob", "exact probability of a formula", ["formula"], cmd_prob),
+    ("bayes", "check P((psi|phi))P(phi) = P(phi/\\psi)", ["phi", "psi"], cmd_bayes),
+    ("lewis-demo", "show conditionals escaping the base algebra", [], cmd_lewis_demo),
+    ("b6-diag", "independence symmetry diagnostics",
+     ["phi", "psi", ("eta", "?")], cmd_b6_diag),
+    ("check-proof", "check a derivation script", ["file"], cmd_check_proof),
+    ("dump-model", "dump the model as JSON", [], cmd_dump_model),
+    ("fixtures", "run the three-world golden scenario", [], cmd_fixtures),
+]
+
+# first match wins: MeasureError and EvaluationError are ModelErrors
+ERRORS = [(_UsageError, "usage"), (FormulaError, "parse"), (ConfigError, "config"),
+          (MeasureError, "measure"), (ProofError, "proof"), (ModelError, "model"),
+          (OSError, "io")]
+_CAUGHT = tuple(cls for cls, _ in ERRORS)
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process."""
     ap = _Parser(
         prog="dmbl",
         description="conditional-logic engine: model construction, decisions, "
                     "probabilities, proof checking")
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("parse", help="parse a formula and show its expansion")
-    p.add_argument("formula")
-    _common(p)
-    p.set_defaults(func=cmd_parse)
-
-    p = sub.add_parser("decide", help="decide box-free theoremhood")
-    p.add_argument("formula")
-    _common(p)
-    p.set_defaults(func=cmd_decide)
-
-    p = sub.add_parser("eval", help="dump a formula's world set")
-    p.add_argument("formula")
-    _common(p)
-    p.set_defaults(func=cmd_eval)
-
-    p = sub.add_parser("indep", help="test logical independence psi * phi")
-    p.add_argument("phi")
-    p.add_argument("psi")
-    _common(p)
-    p.set_defaults(func=cmd_indep)
-
-    p = sub.add_parser("prob", help="exact probability of a formula")
-    p.add_argument("formula")
-    _common(p)
-    p.set_defaults(func=cmd_prob)
-
-    p = sub.add_parser("bayes", help="check P((psi|phi))P(phi) = P(phi/\\psi)")
-    p.add_argument("phi")
-    p.add_argument("psi")
-    _common(p)
-    p.set_defaults(func=cmd_bayes)
-
-    p = sub.add_parser("lewis-demo",
-                       help="show conditionals escaping the base algebra")
-    _common(p)
-    p.set_defaults(func=cmd_lewis_demo)
-
-    p = sub.add_parser("b6-diag", help="independence symmetry diagnostics")
-    p.add_argument("phi")
-    p.add_argument("psi")
-    p.add_argument("eta", nargs="?")
-    _common(p)
-    p.set_defaults(func=cmd_b6_diag)
-
-    p = sub.add_parser("check-proof", help="check a derivation script")
-    p.add_argument("file")
-    _common(p)
-    p.set_defaults(func=cmd_check_proof)
-
-    p = sub.add_parser("dump-model", help="dump the model as JSON")
-    p.add_argument("--step", action="append",
-                   help="process this formula's world set before dumping")
-    _common(p)
-    p.set_defaults(func=cmd_dump_model)
-
-    p = sub.add_parser("fixtures", help="run the three-world golden scenario")
-    _common(p)
-    p.set_defaults(func=cmd_fixtures)
-
+    for name, help_text, positionals, handler in COMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        for arg in positionals:
+            arg, nargs = arg if isinstance(arg, tuple) else (arg, None)
+            p.add_argument(arg, nargs=nargs)
+        if name == "dump-model":
+            p.add_argument("--step", action="append",
+                           help="process this formula's world set before dumping")
+        _common(p)
+        p.set_defaults(func=handler)
     return ap
 
 
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        cfg = _make_config(args)
-        return args.func(cfg, args)
-    except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
-    except FormulaError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return 2
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except MeasureError as exc:
-        print(f"measure error: {exc}", file=sys.stderr)
-        return 2
-    except ProofError as exc:
-        print(f"proof error: {exc}", file=sys.stderr)
-        return 2
-    except ModelError as exc:
-        print(f"model error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"io error: {exc}", file=sys.stderr)
+        return args.func(_make_config(args), args)
+    except _CAUGHT as exc:
+        prefix = next(p for cls, p in ERRORS if isinstance(exc, cls))
+        print(f"{prefix} error: {exc}", file=sys.stderr)
         return 2
 
 

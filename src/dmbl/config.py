@@ -113,7 +113,7 @@ def build_measure(cfg: EngineConfig, state: ModelState) -> BaseMeasure:
     for key, value in cfg.measure.items():
         try:
             frac = Fraction(value)
-        except (TypeError, ValueError, ZeroDivisionError) as exc:
+        except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
             raise ConfigError(f"bad rational {value!r} for {key!r}: {exc}") from None
         if cfg.worlds is not None:
             idx = state.world_index(key)

@@ -4,7 +4,8 @@ Modal accessibility is total, so necessity is degenerate: a boxed formula
 denotes the full set when its body does and the empty set otherwise.  A
 box-free formula is a theorem of the weak logic exactly when its value is
 the full set; for modal formulas the same test is model-validity only and
-is flagged as such.
+is flagged as such.  The derived connectives ``<->``, ``<>`` and ``*`` are
+evaluated as defined, each operand once, without expanding them.
 """
 
 from __future__ import annotations
@@ -12,8 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .formula import (And, Atom, Bot, Box, Cond, Formula, Implies, Not, Or,
-                      Top, expand, is_box_free)
+from .formula import (And, Atom, Bot, Box, Cond, Diamond, Formula, Iff, Implies,
+                      Indep, Not, Or, Top, is_box_free)
 from .model import ModelError, ModelState
 from .worlds import PropSet
 
@@ -63,7 +64,7 @@ def _eval(state: ModelState, g: Formula) -> PropSet:
             raise EvaluationError(str(exc)) from None
     if isinstance(g, Not):
         return _eval(state, g.body).complement()
-    if isinstance(g, (And, Or, Implies)):
+    if isinstance(g, (And, Or, Implies, Iff)):
         a = _eval(state, g.left)
         b = _eval(state, g.right)
         a = state.lift(a, b.level)
@@ -71,13 +72,22 @@ def _eval(state: ModelState, g: Formula) -> PropSet:
             return a & b
         if isinstance(g, Or):
             return a | b
-        return a.complement() | b
-    if isinstance(g, Box):
+        if isinstance(g, Implies):
+            return a.complement() | b
+        return ((a - b) | (b - a)).complement()
+    if isinstance(g, (Box, Diamond)):
         v = _eval(state, g.body)
-        return state.full(v.level) if v.is_full else state.empty(v.level)
+        holds = v.is_full if isinstance(g, Box) else not v.is_empty
+        return state.full(v.level) if holds else state.empty(v.level)
     if isinstance(g, Cond):
         return state.ensure(_eval(state, g.cons), _eval(state, g.ante))
-    raise EvaluationError(f"cannot evaluate node {type(g).__name__}; expand first")
+    if isinstance(g, Indep):
+        # []((lhs|rhs) <-> lhs): conditioning on rhs leaves lhs unchanged
+        lhs = _eval(state, g.lhs)
+        c = state.ensure(lhs, _eval(state, g.rhs))
+        same = c == state.lift(lhs, c.level)
+        return state.full(c.level) if same else state.empty(c.level)
+    raise EvaluationError(f"cannot evaluate node {type(g).__name__}")
 
 
 def assign(state: ModelState, f: Formula) -> Valuation:
@@ -86,8 +96,7 @@ def assign(state: ModelState, f: Formula) -> Valuation:
     Deterministic: the same state and formula give the same value, at the
     state's final top level.
     """
-    v = _eval(state, expand(f))
-    v = state.lift(v, state.top)
+    v = state.lift(_eval(state, f), state.top)
     return Valuation(formula=f, value=v, level=v.level)
 
 
@@ -104,13 +113,9 @@ def decide(state: ModelState, f: Formula) -> Decision:
 def independent(state: ModelState, phi: Formula, psi: Formula) -> bool:
     """Whether ``psi`` is logically independent of ``phi`` in this model.
 
-    Holds exactly when conditioning ``psi`` on ``phi`` leaves its value
-    unchanged, which matches validity of the boxed biconditional that
-    defines the independence connective.
+    That is validity of ``psi * phi``, short for ``[]((psi|phi) <-> psi)``.
     """
-    vpsi = assign(state, psi).value
-    vphi = assign(state, phi).value
-    return state.ensure(vpsi, vphi) == state.lift(vpsi, state.top)
+    return valid(state, Indep(psi, phi))
 
 
 def lewis_escape(state: ModelState, a: PropSet, b: PropSet) -> bool:

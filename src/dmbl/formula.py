@@ -162,7 +162,10 @@ def expand(f: Formula) -> Formula:
 
     ``a <-> b`` becomes ``(a -> b) /\\ (b -> a)``; ``<>a`` becomes
     ``~[]~a``; ``a * b`` becomes ``[]((a|b) <-> a)`` with the inner
-    biconditional expanded as well.  The result is a fixed point.
+    biconditional expanded as well.  The result is a fixed point.  The
+    evaluator reads these connectives directly; ``expand`` serves only
+    ``dmbl parse``, whose output repeats operands and so grows
+    exponentially with nested ``<->`` or ``*`` (see ``expanded_size``).
     """
     if isinstance(f, (Top, Bot, Atom)):
         return f
@@ -179,12 +182,24 @@ def expand(f: Formula) -> Formula:
     return rebuild(f, parts)
 
 
-def is_box_free(f: Formula) -> bool:
-    """True when the expanded formula contains no necessity operator.
+def expanded_size(f: Formula) -> int:
+    """Node count of ``expand(f)``, in one pass without building it."""
+    if isinstance(f, Iff):
+        return 3 + 2 * (expanded_size(f.left) + expanded_size(f.right))
+    if isinstance(f, Diamond):
+        return 3 + expanded_size(f.body)
+    if isinstance(f, Indep):
+        return 6 + 4 * expanded_size(f.lhs) + 2 * expanded_size(f.rhs)
+    return 1 + sum(map(expanded_size, children(f)))
 
-    Independence is not box-free: it expands to a boxed biconditional.
+
+def is_box_free(f: Formula) -> bool:
+    """True when the formula contains no modal operator.
+
+    ``[]``, ``<>`` and ``*`` are modal: independence abbreviates a boxed
+    biconditional.  Equals the absence of ``[]`` from ``expand(f)``.
     """
-    return not any(isinstance(g, Box) for g in subformulas(expand(f)))
+    return not any(isinstance(g, (Box, Diamond, Indep)) for g in subformulas(f))
 
 
 # --- parsing ---------------------------------------------------------------

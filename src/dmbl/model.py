@@ -582,7 +582,7 @@ class ModelState:
                 entry["worlds"] = list(self._labels)
             else:
                 entry["pairs"] = [list(p) for p in lvl.pairs]
-                entry["event_image"] = bit_indices(lvl.event_image_mask)
+                entry["event_image"] = list(range(lvl.split))
             if self.atoms:
                 entry["h"] = {a: self.h_at(a, lvl.index).indices() for a in self.atoms}
             levels.append(entry)

@@ -35,15 +35,17 @@ _FLAGS = bytes.maketrans(b"01", b"\x00\x01")   # bit string -> compress() select
 
 
 def bit_indices(mask: int) -> list[int]:
-    """Indices of the set bits of ``mask``, ascending."""
+    """Indices of the set bits of ``mask``, ascending.
+
+    Reads the bytes of one conversion: shifting the int by a byte per step
+    copies it each time, which is quadratic in the width.
+    """
     out = []
     base = 0
-    while mask:
-        byte = mask & 0xFF
+    for byte in mask.to_bytes((mask.bit_length() + 7) // 8, "little"):
         if byte:
             for b in _BYTE_BITS[byte]:
                 out.append(base + b)
-        mask >>= 8
         base += 8
     return out
 

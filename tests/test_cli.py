@@ -1,9 +1,11 @@
 import json
+import time
 
 import pytest
 
 from dmbl import __version__
-from dmbl.cli import main
+from dmbl.cli import MAX_EXPANSION, build_parser, main
+from dmbl.formula import expanded_size, parse
 from dmbl.proofs import corpus_dir
 
 
@@ -17,6 +19,33 @@ def test_parse_command(capsys):
     code, out, _ = run(capsys, "parse", "p * (q|p)")
     assert code == 0
     assert "expanded:" in out
+
+
+def test_parse_prints_an_expansion_at_the_bound(capsys):
+    # 15 chained operands expand to 98299 nodes, 16 to 196603
+    text = " <-> ".join(["p"] * 15)
+    assert expanded_size(parse(text)) <= MAX_EXPANSION
+    code, out, err = run(capsys, "parse", text)
+    assert code == 0 and err == "" and "expanded:" in out
+
+
+@pytest.mark.parametrize("text", [" <-> ".join(["p"] * 16), " * ".join(["p"] * 20)],
+                         ids=["16-iff", "20-indep"])
+def test_parse_refuses_an_expansion_past_the_bound(capsys, text):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "parse", text)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert err.startswith("parse error: expansion too large") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("text", [" <-> ".join(["(q|p)"] * 40), " * ".join(["p", "q"] * 6)],
+                         ids=["40-iff", "12-indep"])
+def test_decide_long_derived_chains_promptly(capsys, text):
+    start = time.perf_counter()
+    code, _, err = run(capsys, "decide", text)
+    assert time.perf_counter() - start < 1.0
+    assert code in (0, 1) and err == ""
 
 
 def test_parse_error_exit_code_and_prefix(capsys):
@@ -188,6 +217,22 @@ def test_dump_model_with_steps(capsys):
     assert data["history"][0]["case"] == 1
 
 
+@pytest.mark.parametrize("first, second", [
+    (["dump-model", "--step", "p", "--json"], ["dump-model", "--json"]),
+    (["b6-diag", "p", "q", "(q|p)", "--json"], ["b6-diag", "p", "q", "--json"]),
+], ids=["dump-model", "b6-diag"])
+def test_a_call_leaves_no_state_for_the_next(capsys, first, second):
+    alone = run(capsys, *second)
+    run(capsys, *first)
+    assert run(capsys, *second) == alone
+    data = json.loads(alone[1])
+    assert data.get("history", []) == [] and "eta" not in data
+
+
+def test_parser_is_built_once():
+    assert build_parser() is build_parser()
+
+
 def test_fixtures_golden(capsys):
     code, out, _ = run(capsys, "fixtures")
     assert code == 0
@@ -220,6 +265,16 @@ def test_config_bad_measure(tmp_path, capsys):
     }))
     code, _, err = run(capsys, "prob", "p", "--config", str(cfg))
     assert code == 2 and err.startswith("config error:")
+
+
+@pytest.mark.parametrize("weight", [float("inf"), float("-inf"), float("nan")])
+def test_config_non_finite_weight_is_config_error(tmp_path, capsys, weight):
+    # json reads Infinity and NaN, which Fraction rejects with OverflowError/ValueError
+    cfg = tmp_path / "engine.json"
+    cfg.write_text(json.dumps({"measure": {"p /\\ q": weight}}))
+    code, out, err = run(capsys, "prob", "p", "--config", str(cfg))
+    assert code == 2 and out == ""
+    assert err.startswith("config error: bad rational") and len(err.splitlines()) == 1
 
 
 def test_explicit_world_config(tmp_path, capsys):

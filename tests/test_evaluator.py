@@ -6,10 +6,12 @@ from hypothesis import given, strategies as st
 
 from dmbl.evaluator import (EvaluationError, assign, decide, diagnose_b6,
                             independent, lewis_escape, valid)
-from dmbl.formula import (And, Atom, Bot, Iff, Implies, Not, Or, Top, parse)
-from dmbl.model import ModelState
+from dmbl.formula import (And, Atom, Bot, Iff, Implies, Not, Or, Top, expand,
+                          parse)
+from dmbl.model import CapExceededError, ModelState
 from dmbl.worlds import PropSet
 
+from genformulas import random_formula
 from oracle import drive_from_state, to_set
 
 # The theorem suite: templates over an antecedent {f}, a consequent {s},
@@ -118,6 +120,47 @@ def test_independent_conditional_of_its_antecedent():
 def test_independent_distinct_atoms_fails():
     st_ = ModelState.from_atoms(["p", "q"])
     assert not independent(st_, parse("p"), parse("q"))
+
+
+# --- derived connectives, evaluated directly ---------------------------------
+
+
+def _ladder(state):
+    return [state.width(n) for n in range(state.num_levels)]
+
+
+def _assign_or_cap(state, f):
+    try:
+        return assign(state, f).value, _ladder(state)
+    except CapExceededError as exc:
+        return str(exc), _ladder(state)
+
+
+@pytest.mark.parametrize("schedule", ["demand", "canonical"])
+@given(st.integers(min_value=0, max_value=10_000))
+def test_direct_evaluation_matches_the_expansion(schedule, seed):
+    f = random_formula(random.Random(seed), ["p", "q"], max_depth=4,
+                       cond_budget=2, allow_modal=True)
+    direct, expanded = (
+        _assign_or_cap(ModelState.from_atoms(["p", "q"], schedule=schedule,
+                                             max_worlds=5_000), g)
+        for g in (f, expand(f)))
+    assert direct == expanded
+
+
+@pytest.mark.parametrize("k", [2, 5, 12, 40])
+def test_biconditional_chain_conditions_once_per_operand(monkeypatch, k):
+    calls = []
+    ensure = ModelState.ensure
+
+    def counting(self, b, a):
+        calls.append((b.level, a.level))
+        return ensure(self, b, a)
+
+    monkeypatch.setattr(ModelState, "ensure", counting)
+    st_ = ModelState.from_atoms(["p", "q"])
+    assert valid(st_, parse(" <-> ".join(["(q|p)"] * k))) == (k % 2 == 0)
+    assert len(calls) == k
 
 
 # --- non-distortion against a truth-table oracle ---------------------------

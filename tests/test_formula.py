@@ -5,7 +5,8 @@ from hypothesis import given, strategies as st
 
 from dmbl.formula import (And, Atom, Bot, Box, Cond, Diamond, Iff, Implies,
                           Indep, Not, Or, ParseError, Top, UnknownAtomError,
-                          atoms_of, expand, is_box_free, parse, to_text)
+                          atoms_of, expand, expanded_size, is_box_free, parse,
+                          subformulas, to_text)
 from genformulas import random_formula
 
 
@@ -102,6 +103,8 @@ def test_box_free_examples():
     assert not is_box_free(parse("[]p"))
     # independence expands to a boxed formula
     assert not is_box_free(parse("p * q"))
+    assert not is_box_free(parse("<>(q|p)"))
+    assert is_box_free(parse("(q|p) <-> p"))
 
 
 _rng_seeds = st.integers(min_value=0, max_value=10_000)
@@ -126,3 +129,17 @@ def test_expand_preserves_atoms(seed):
     f = random_formula(random.Random(seed), ["p", "q", "r"], max_depth=5,
                        cond_budget=3, allow_modal=True)
     assert atoms_of(expand(f)) == atoms_of(f)
+
+
+@given(_rng_seeds)
+def test_box_free_matches_the_expansion(seed):
+    f = random_formula(random.Random(seed), ["p", "q"], max_depth=5,
+                       cond_budget=3, allow_modal=True)
+    assert is_box_free(f) == (not any(isinstance(g, Box) for g in subformulas(expand(f))))
+
+
+@given(_rng_seeds)
+def test_expanded_size_counts_the_expansion(seed):
+    f = random_formula(random.Random(seed), ["p", "q"], max_depth=5,
+                       cond_budget=3, allow_modal=True)
+    assert expanded_size(f) == sum(1 for _ in subformulas(expand(f)))

@@ -253,3 +253,12 @@ def test_build_level_rejects_bad_blocks():
         build_level(1, 4, [(0b0011, 0b0100), (0b0001, 0b1000)])
     with pytest.raises(WorldsError):          # world 1 in a Pi and a Gamma
         build_level(1, 4, [(0b0011, 0b0100), (0b1000, 0b0010)])
+
+
+@pytest.mark.parametrize("width", [8, 384, 40960])
+def test_bit_indices_match_a_bit_string_reference(width):
+    rng = random.Random(width)
+    sparse = [1 << rng.randrange(width) | 1 << rng.randrange(width) for _ in range(3)]
+    for mask in [0, (1 << width) - 1, *sparse, *(rng.getrandbits(width) for _ in range(3))]:
+        want = [i for i, c in enumerate(reversed(format(mask, f"0{width}b"))) if c == "1"]
+        assert bit_indices(mask) == PropSet(0, mask, width).indices() == want
