@@ -19,7 +19,7 @@ from .config import ConfigError, EngineConfig, build_measure, build_state, load_
 from .evaluator import assign, decide, diagnose_b6, independent, lewis_escape
 from .formula import (FormulaError, atoms_of, expand, expanded_size, is_box_free,
                       parse, to_text)
-from .model import ModelError, ModelState
+from .model import CapExceededError, ModelError, ModelState
 from .probability import BayesResult, MeasureError, bayes_check, init_measure, prob
 from .proofs import ProofError, check, load_derivation
 
@@ -192,6 +192,11 @@ def cmd_bayes(cfg, args) -> int:
 def cmd_lewis_demo(cfg, args) -> int:
     state = build_state(cfg)
     n = state.width(0)
+    # nonempty b strictly inside a nonempty proper a: 3^n - 3 * 2^n + 3
+    count = 3 ** n - 3 * 2 ** n + 3
+    if count > cfg.max_worlds:
+        raise CapExceededError(f"lewis-demo would build one model per strict "
+                               f"pair: {count} pairs > cap {cfg.max_worlds}")
     cases = []
     all_good = True
     for a_mask in range(1, (1 << n) - 1):

@@ -8,7 +8,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .formula import _IDENT_RE, parse
-from .model import ModelState
+from .model import ModelError, ModelState
 from .probability import BaseMeasure, MeasureError
 from .worlds import mask_of
 
@@ -80,7 +80,14 @@ def _task_entry_mask(state: ModelState, entry) -> int:
         return mask_of(state.world_index(str(w)) for w in entry)
     from .evaluator import assign
 
-    return assign(state, parse(str(entry), state.atoms or None)).value.mask
+    try:
+        value = assign(state, parse(str(entry), state.atoms or None)).value
+    except ModelError as exc:
+        raise ConfigError(f"task list entry {entry!r}: {exc}") from None
+    if value.level != 0:
+        raise ConfigError(f"task list entry {entry!r} is not a base-level set "
+                          f"(its value is at level {value.level})")
+    return value.mask
 
 
 def build_state(cfg: EngineConfig) -> ModelState:
@@ -88,9 +95,10 @@ def build_state(cfg: EngineConfig) -> ModelState:
                   max_worlds=cfg.max_worlds)
     task_masks = None
     if cfg.task_list is not None:
-        probe = (ModelState.from_worlds(cfg.worlds, schedule="demand")
+        probe_kwargs = {**kwargs, "schedule": "demand"}
+        probe = (ModelState.from_worlds(cfg.worlds, **probe_kwargs)
                  if cfg.worlds is not None
-                 else ModelState.from_atoms(cfg.atoms, schedule="demand"))
+                 else ModelState.from_atoms(cfg.atoms, **probe_kwargs))
         task_masks = [_task_entry_mask(probe, entry) for entry in cfg.task_list]
     if cfg.worlds is not None:
         return ModelState.from_worlds(cfg.worlds, task_list=task_masks, **kwargs)

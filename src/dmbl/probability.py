@@ -7,7 +7,10 @@ block ``Pi x Gamma`` weighs ``P(x) P(y) / P(Gamma)``, and ``(x, y)`` in
 weight of every embedded set, so formula probabilities are level-free.
 Each level is stored as integer numerators over one shared integer
 denominator, so the extension runs on plain ``int`` products and sums and
-``Fraction`` appears only where weights enter and leave.
+``Fraction`` appears only where weights enter and leave.  A query extends
+the stored levels only up to the one below its set's level and reads the
+set's mass off it by rows: row ``x`` adds ``w[x]`` times its partners'
+weights in the set, scaled once per block half.
 A base measure with zeros is read through ``limit_prob``: the same
 extension runs over leading terms ``(order, coeff)`` in a vanishing uniform
 perturbation eps, where products add orders, sums keep the lowest order,
@@ -21,11 +24,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from typing import NamedTuple
 
 from .evaluator import assign
 from .formula import And, Cond, Formula
 from .model import ModelError, ModelState
+from .worlds import _FLAGS, NARROW_WIDTH, bit_indices, bit_string
 
 
 class MeasureError(ModelError):
@@ -91,11 +96,15 @@ class MeasureState:
     ``n`` scales it by ``L_n``, the lcm of the step's block sums, so a new
     world ``(x, y)`` gets the integer numerator ``w[x] w[y] (L_n // s)``,
     ``s`` being the opposite block's sum, over ``D_{n+1} = D_n L_n``.
+    A set at level ``n >= 1`` is weighed from level ``n - 1`` by rows, as
+    ``sum_k (L_n // s_k) sum_{x pairing with half k} w[x] sum_{y in half k,
+    (x, y) in set} w[y]``, so ``weight_of`` stores levels only up to
+    ``n - 1``; ``extend_to`` stores a level itself for ``level_weights``.
     Fractions appear only at the boundary: the base weights in and
-    ``weight_of``/``level_weights`` out.  The loop takes its block factors
-    from ``_scale``, so ``limit_prob`` runs it unchanged over leading
-    terms.  Extension is single-owner like the model itself; reads of
-    already extended levels are pure.
+    ``weight_of``/``level_weights`` out.  Both paths take the step's halves
+    and factors from ``_step`` and ``_scale``, so ``limit_prob`` runs them
+    unchanged over leading terms.  Extension and the per-step memo are
+    single-owner like the model itself.
     """
 
     def __init__(self, state: ModelState, base: BaseMeasure):
@@ -108,6 +117,7 @@ class MeasureState:
         self._levels: list[list] = [
             [w.numerator * (den // w.denominator) for w in base.weights]]
         self._denoms: list[int] = [den]
+        self._steps: dict = {}
 
     def extended_through(self) -> int:
         return len(self._levels) - 1
@@ -125,15 +135,18 @@ class MeasureState:
         scale = math.lcm(*sums)
         return scale, [scale // s for s in sums]
 
-    def _extend_one(self, state: ModelState) -> None:
-        """Extend by one level, row by row: row ``x`` scales ``w[x]`` by its
-        block's factor once and multiplies that into its partners' weights."""
-        n = self.extended_through()
+    def _step(self, state: ModelState, n: int) -> tuple:
+        """Level ``n + 1`` over the stored level ``n``: its rows as ``(x, k)``
+        in table order, where row ``x`` pairs with half ``k`` (half ``2b``
+        holds block ``b``'s Pi weights, half ``2b + 1`` its Gamma weights),
+        the halves' weights, the level scale and each half's factor.
+        Memoized per level: repeated reads of one level share it."""
+        if n in self._steps:
+            return self._steps[n]
         if n >= state.top:
             raise MeasureError(f"level {n + 1} not built in the model")
         w = self._levels[n]
         lvl = state.level(n + 1)
-        # half 2b holds block b's Pi weights, half 2b + 1 its Gamma weights
         halves = [[w[x] for x in half] for block in lvl.blocks for half in block]
         sums = [sum(h) for h in halves]
         if 0 in sums:
@@ -141,22 +154,77 @@ class MeasureState:
                 "zero-weight block: extension needs a strictly positive "
                 "base measure (use the perturbation limit instead)")
         scale, factors = self._scale(sums)
-        out: list = []
+        # a Pi row pairs with its Gamma half and divides by its sum
         where = lvl.where
-        for x in lvl.rows:
-            # a Pi row pairs with its Gamma half and divides by its sum
-            k = 2 * where[x][1] + where[x][0]
+        rows = [(x, 2 * where[x][1] + where[x][0]) for x in lvl.rows]
+        self._steps[n] = rows, halves, scale, factors
+        return self._steps[n]
+
+    def _extend_one(self, state: ModelState) -> None:
+        """Extend by one level, row by row: row ``x`` scales ``w[x]`` by its
+        half's factor once and multiplies that into its partners' weights."""
+        n = self.extended_through()
+        rows, halves, scale, factors = self._step(state, n)
+        w = self._levels[n]
+        out: list = []
+        for x, k in rows:
             out += map((w[x] * factors[k]).__mul__, halves[k])
         self._levels.append(out)
         self._denoms.append(self._denoms[n] * scale)
 
-    def _mass(self, state: ModelState, value):
-        """Sum of the stored weights of ``value``'s worlds."""
-        self.extend_to(state, value.level)
-        return sum(value.select(self._levels[value.level]))
+    def _mass(self, state: ModelState, value) -> tuple:
+        """``value``'s mass as ``(numerator, denominator)``.
+
+        Level 0 sums its stored weights.  Above it, each row meeting the
+        set adds ``w[x]`` times its partners' weights in the set, and each
+        half's total is scaled by the half's factor once.
+        """
+        n = value.level
+        if n == 0:
+            return sum(value.select(self._levels[0])), self._denoms[0]
+        self.extend_to(state, n - 1)
+        rows, halves, scale, factors = self._step(state, n - 1)
+        w = self._levels[n - 1]
+        totals = [0] * len(halves)
+        for x, k, part in _row_parts(rows, halves, value):
+            totals[k] += w[x] * part
+        mass = sum(f * t for f, t in zip(factors, totals) if t)
+        return mass, self._denoms[n - 1] * scale
 
     def weight_of(self, state: ModelState, value) -> Fraction:
-        return Fraction(self._mass(state, value), self._denoms[value.level])
+        return Fraction(*self._mass(state, value))
+
+
+def _row_parts(rows, halves, value):
+    """``(x, k, part)`` for each row ``x`` meeting ``value``, where ``part``
+    sums the weights in half ``k`` at the row's worlds in the set.
+
+    A wide set is read as a bit string, one slice per row; a narrow one
+    walks its set bits.
+    """
+    start = 0
+    if value.width > NARROW_WIDTH:
+        flags = bit_string(value.mask, value.width).encode().translate(_FLAGS)
+        for x, k in rows:
+            half = halves[k]
+            part = sum(compress(half, flags[start:start + len(half)]))
+            if part:
+                yield x, k, part
+            start += len(half)
+        return
+    end = part = 0
+    rows_left = iter(rows)
+    for c in bit_indices(value.mask):
+        if c >= end:
+            if part:
+                yield x, k, part
+                part = 0
+            while c >= end:
+                x, k = next(rows_left)
+                start, end = end, end + len(halves[k])
+        part += halves[k][c - start]
+    if part:
+        yield x, k, part
 
 
 class _LeadingMeasure(MeasureState):
@@ -182,10 +250,10 @@ class _LeadingMeasure(MeasureState):
 
     def weight_of(self, state: ModelState, value) -> Fraction:
         """The limit of ``value``'s weight: its coefficient at order 0."""
-        total = self._mass(state, value)
+        total, den = self._mass(state, value)
         if value.is_empty or total.order > 0:
             return Fraction(0)
-        return Fraction(total.coeff, self._denoms[value.level])
+        return Fraction(total.coeff, den)
 
 
 def init_measure(state: ModelState, pi: BaseMeasure) -> MeasureState:

@@ -6,6 +6,7 @@ import pytest
 from dmbl import __version__
 from dmbl.cli import MAX_EXPANSION, build_parser, main
 from dmbl.formula import expanded_size, parse
+from dmbl.model import default_task_list
 from dmbl.proofs import corpus_dir
 
 
@@ -166,6 +167,24 @@ def test_lewis_demo(capsys):
     assert "all 36 strict pairs escape" in out
 
 
+def test_lewis_demo_three_atoms(capsys):
+    code, out, err = run(capsys, "lewis-demo", "--atoms", "a,b,c")
+    assert code == 0 and err == ""
+    assert "all 5796 strict pairs escape" in out
+
+
+def test_lewis_demo_pair_count_is_capped(capsys):
+    # 16 base worlds give 3^16 - 3 * 2^16 + 3 strict pairs, far past the cap
+    start = time.perf_counter()
+    code, out, err = run(capsys, "lewis-demo", "--atoms", "a,b,c,d")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert err.startswith("model error: lewis-demo") and len(err.splitlines()) == 1
+    assert "42850116 pairs > cap 200000" in err
+    code, _, err = run(capsys, "lewis-demo", "--atoms", "a,b,c", "--max-worlds", "5795")
+    assert code == 2 and "5796 pairs > cap 5795" in err
+
+
 def test_b6_diag(capsys):
     code, out, _ = run(capsys, "b6-diag", "p", "(q|p)")
     assert code == 0 and "symmetric" in out
@@ -306,6 +325,42 @@ def test_config_value_of_wrong_type_is_config_error(tmp_path, capsys, data):
     code, out, err = run(capsys, "decide", "p", "--config", str(cfg))
     assert code == 2 and out == ""
     assert err.startswith("config error:") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("schedule", ["demand", "canonical"])
+@pytest.mark.parametrize("caps,reason", [
+    ([], "is not a base-level set (its value is at level 4)"),
+    (["--max-worlds", "10", "--max-levels", "1"], "level cap 1 reached"),
+], ids=["default-caps", "small-caps"])
+def test_task_list_formula_above_the_base_is_config_error(tmp_path, capsys, schedule,
+                                                          caps, reason):
+    # the probe that evaluates the entry obeys the configured caps
+    cfg = tmp_path / "engine.json"
+    cfg.write_text(json.dumps({"task_list": ["((((q|p)|q)|p /\\ q)|p \\/ q)", "p"]}))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "decide", "p", "--config", str(cfg),
+                         "--schedule", schedule, *caps)
+    assert time.perf_counter() - start < 5.0
+    assert code == 2 and out == ""
+    assert err.startswith("config error: task list entry") and len(err.splitlines()) == 1
+    assert reason in err
+
+
+def test_task_list_base_formulas_match_world_labels(tmp_path, capsys):
+    # worlds ~p~q, ~pq, p~q, pq: "p" is 0b1100 and "~p" is 0b0011
+    labels = ["~p /\\ ~q", "~p /\\ q", "p /\\ ~q", "p /\\ q"]
+    by_labels = [[labels[i] for i in range(4) if m >> i & 1]
+                 for m in default_task_list(4)]
+    by_formulas = [{0b1100: "p", 0b0011: "~p"}.get(m, e)
+                   for m, e in zip(default_task_list(4), by_labels)]
+    reports = []
+    for name, task_list in (("labels", by_labels), ("formulas", by_formulas)):
+        cfg = tmp_path / f"{name}.json"
+        cfg.write_text(json.dumps({"task_list": task_list, "schedule": "canonical"}))
+        code, out, err = run(capsys, "eval", "(q|p)", "--config", str(cfg), "--json")
+        assert code == 0 and err == ""
+        reports.append(out)
+    assert reports[0] == reports[1]
 
 
 def test_config_not_utf8_is_config_error(tmp_path, capsys):

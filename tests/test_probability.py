@@ -9,7 +9,7 @@ from dmbl.formula import parse
 from dmbl.model import ModelState
 from dmbl.probability import (BaseMeasure, MeasureError, MeasureState,
                               bayes_check, init_measure, limit_prob, prob)
-from dmbl.worlds import PropSet, bit_indices
+from dmbl.worlds import NARROW_WIDTH, PropSet, bit_indices, mask_of
 
 from genformulas import random_formula
 from oracle import drive_from_state
@@ -264,6 +264,62 @@ def test_weight_of_after_case_zero_step_sums_level_weights():
         for mask in masks:
             want = sum((weights[i] for i in bit_indices(mask)), Fraction(0))
             assert m.weight_of(s, PropSet(n, mask, width)) == want, (n, mask)
+
+
+DEPTH_FOUR = "((((q|p)|q)|p /\\ q)|p \\/ q)"
+PRIME_WEIGHTS = [Fraction(1, 3), Fraction(1, 5), Fraction(1, 7), Fraction(34, 105)]
+
+
+def _depth_four_chain():
+    s = ModelState.from_atoms(["p", "q"])
+    assign(s, parse(DEPTH_FOUR))
+    return s
+
+
+def _case_zero_ladder():
+    # re-processing p makes the last step a multi-block one
+    s = ModelState.from_atoms(["p", "q"])
+    s.step(s.h("p"))
+    s.step(s.lift(s.h("q"), 1))
+    s.step(s.lift(s.h("p"), 2))
+    return s
+
+
+@pytest.mark.parametrize("build,ladder", [
+    (_depth_four_chain, [4, 8, 32, 384, 40960]),
+    (_case_zero_ladder, [4, 8, 32, 128]),
+], ids=["depth-four", "case-zero"])
+def test_weight_of_by_rows_matches_stored_level_weights(build, ladder):
+    s = build()
+    assert [s.width(n) for n in range(s.num_levels)] == ladder
+    assert min(ladder) <= NARROW_WIDTH < max(ladder)  # both row paths
+    pi = BaseMeasure.from_weights(PRIME_WEIGHTS)
+    stored = init_measure(s, pi)
+    assert stored.extended_through() == s.top
+    rng = random.Random(17)
+    for n, width in enumerate(ladder):
+        weights = stored.level_weights(n)
+        sparse = mask_of(rng.sample(range(width), 3))
+        for mask in [0, (1 << width) - 1, sparse, rng.getrandbits(width),
+                     rng.getrandbits(width)]:
+            m = MeasureState(s, pi)
+            got = m.weight_of(s, PropSet(n, mask, width))
+            # the set's own level is read by rows, never stored
+            assert m.extended_through() == max(n - 1, 0)
+            want = sum((weights[i] for i in bit_indices(mask)), Fraction(0))
+            assert got == want, (n, mask)
+            assert stored.weight_of(s, PropSet(n, mask, width)) == want, (n, mask)
+
+
+def test_prob_stores_levels_below_the_top_only():
+    s = ModelState.from_atoms(["p", "q"])
+    pi = BaseMeasure.from_weights(PRIME_WEIGHTS)
+    m = init_measure(s, pi)
+    assert m.extended_through() == 0
+    got = prob(s, m, parse(DEPTH_FOUR))
+    assert s.top == 4
+    assert m.extended_through() == s.top - 1
+    assert got == prob(s, init_measure(s, pi), parse(DEPTH_FOUR))
 
 
 # --- law battery over random formulas -----------------------------------------
