@@ -7,6 +7,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
+from .evaluator import assign
 from .formula import _IDENT_RE, parse
 from .model import ModelError, ModelState
 from .probability import BaseMeasure, MeasureError
@@ -74,20 +75,23 @@ def load_config(path: str) -> EngineConfig:
     return EngineConfig(**data)
 
 
+def _base_mask(state: ModelState, text: str, what: str) -> int:
+    """The level-0 value of a config formula; ``what`` names it in errors."""
+    try:
+        value = assign(state, parse(text, state.atoms or None)).value
+    except ModelError as exc:
+        raise ConfigError(f"{what} {text!r}: {exc}") from None
+    if value.level != 0:
+        raise ConfigError(f"{what} {text!r} is not a base-level set "
+                          f"(its value is at level {value.level})")
+    return value.mask
+
+
 def _task_entry_mask(state: ModelState, entry) -> int:
     # an entry is a list of base-world labels, or a formula over the atoms
     if isinstance(entry, list):
         return mask_of(state.world_index(str(w)) for w in entry)
-    from .evaluator import assign
-
-    try:
-        value = assign(state, parse(str(entry), state.atoms or None)).value
-    except ModelError as exc:
-        raise ConfigError(f"task list entry {entry!r}: {exc}") from None
-    if value.level != 0:
-        raise ConfigError(f"task list entry {entry!r} is not a base-level set "
-                          f"(its value is at level {value.level})")
-    return value.mask
+    return _base_mask(state, str(entry), "task list entry")
 
 
 def build_state(cfg: EngineConfig) -> ModelState:
@@ -116,8 +120,6 @@ def build_measure(cfg: EngineConfig, state: ModelState) -> BaseMeasure:
         return BaseMeasure.uniform(state)
     weights = [Fraction(0)] * state.width(0)
     seen = [False] * state.width(0)
-    from .evaluator import assign
-
     for key, value in cfg.measure.items():
         try:
             frac = Fraction(value)
@@ -126,10 +128,10 @@ def build_measure(cfg: EngineConfig, state: ModelState) -> BaseMeasure:
         if cfg.worlds is not None:
             idx = state.world_index(key)
         else:
-            val = assign(state, parse(key, state.atoms)).value
-            if val.cardinality() != 1:
+            mask = _base_mask(state, key, "measure key")
+            if mask.bit_count() != 1:
                 raise ConfigError(f"measure key {key!r} does not denote one world")
-            idx = val.indices()[0]
+            idx = mask.bit_length() - 1
         if seen[idx]:
             raise ConfigError(f"measure key {key!r} repeats a world")
         seen[idx] = True

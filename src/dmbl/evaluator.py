@@ -51,15 +51,17 @@ class Decision:
 
 
 def _eval(state: ModelState, g: Formula) -> PropSet:
-    # returns a set at the state's top level as of return time; conditional
-    # subterms may grow the state, so earlier values get re-lifted.
+    # returns a set at its natural level: T, F, atoms and modal formulas at
+    # level 0, a connective at the higher of its operands' levels, and a
+    # conditional at the higher of those and its defining level.  Conditional
+    # subterms may grow the state; only assign lifts the result to the top.
     if isinstance(g, Top):
-        return state.full()
+        return state.full(0)
     if isinstance(g, Bot):
-        return state.empty()
+        return state.empty(0)
     if isinstance(g, Atom):
         try:
-            return state.h_at(g.name, state.top)
+            return state.h(g.name)
         except ModelError as exc:
             raise EvaluationError(str(exc)) from None
     if isinstance(g, Not):
@@ -67,7 +69,10 @@ def _eval(state: ModelState, g: Formula) -> PropSet:
     if isinstance(g, (And, Or, Implies, Iff)):
         a = _eval(state, g.left)
         b = _eval(state, g.right)
-        a = state.lift(a, b.level)
+        if a.level < b.level:
+            a = state.lift(a, b.level)
+        elif b.level < a.level:
+            b = state.lift(b, a.level)
         if isinstance(g, And):
             return a & b
         if isinstance(g, Or):
@@ -78,7 +83,7 @@ def _eval(state: ModelState, g: Formula) -> PropSet:
     if isinstance(g, (Box, Diamond)):
         v = _eval(state, g.body)
         holds = v.is_full if isinstance(g, Box) else not v.is_empty
-        return state.full(v.level) if holds else state.empty(v.level)
+        return state.full(0) if holds else state.empty(0)
     if isinstance(g, Cond):
         return state.ensure(_eval(state, g.cons), _eval(state, g.ante))
     if isinstance(g, Indep):
@@ -86,15 +91,16 @@ def _eval(state: ModelState, g: Formula) -> PropSet:
         lhs = _eval(state, g.lhs)
         c = state.ensure(lhs, _eval(state, g.rhs))
         same = c == state.lift(lhs, c.level)
-        return state.full(c.level) if same else state.empty(c.level)
+        return state.full(0) if same else state.empty(0)
     raise EvaluationError(f"cannot evaluate node {type(g).__name__}")
 
 
 def assign(state: ModelState, f: Formula) -> Valuation:
     """Bottom-up value of ``f``; conditionals grow the state as needed.
 
-    Deterministic: the same state and formula give the same value, at the
-    state's final top level.
+    Subformula values stay at their natural levels; only the result is
+    lifted, to the state's final top level.  Deterministic: the same state
+    and formula give the same value.
     """
     v = state.lift(_eval(state, f), state.top)
     return Valuation(formula=f, value=v, level=v.level)
@@ -129,7 +135,8 @@ def lewis_escape(state: ModelState, a: PropSet, b: PropSet) -> bool:
         raise EvaluationError("escape test takes level-0 sets")
     if b.is_empty or not b.issubset(a) or b == a or a.is_full:
         raise EvaluationError("escape test needs {} < b < a < full, strictly")
-    outside = state.ensure(b, a) & state.lift(a, state.top).complement()
+    c = state.ensure(b, a)
+    outside = c & state.lift(a, c.level).complement()
     return state.image_test(outside, 0) is None
 
 
@@ -163,8 +170,7 @@ def diagnose_b6(state: ModelState, phi: Formula, psi: Formula,
     if eta is not None:
         left = assign(state, Cond(Cond(eta, psi), phi)).value
         right = assign(state, Cond(eta, And(phi, psi))).value
-        left = state.lift(left, state.top)
-        right = state.lift(right, state.top)
+        left = state.lift(left, right.level)
         star_equal = left == right
         star_left = ",".join(map(str, left.indices()))
         star_right = ",".join(map(str, right.indices()))

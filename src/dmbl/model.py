@@ -178,7 +178,6 @@ class ModelState:
         self._levels: list[Level] = [Level(index=0, width=width)]
         self.history: list[ProcessedEvent] = []
         self._event_lifts: list[int] = []
-        self._h_cache: dict[tuple[str, int], int] = {}
 
         if schedule == "canonical":
             if task_list is None:
@@ -269,12 +268,7 @@ class ModelState:
         return PropSet(0, self._h0[atom], self.width(0))
 
     def h_at(self, atom: str, level: int) -> PropSet:
-        key = (atom, level)
-        cached = self._h_cache.get(key)
-        if cached is None:
-            cached = self.lift(self.h(atom), level).mask
-            self._h_cache[key] = cached
-        return PropSet(level, cached, self.width(level))
+        return self.lift(self.h(atom), level)
 
     # --- morphism, transpose, image test ---------------------------------
 
@@ -360,27 +354,22 @@ class ModelState:
         processed, or ``b`` does not embed at the level right after the
         step that last processed it.
         """
-        n = max(b.level, a.level)
-        a = self.lift(a, n)
-        b = self.lift(b, n)
         if a.is_empty or a.is_full:
-            return b
+            return self.lift(b, max(b.level, a.level))
         match = self._find_match(self.lift(a, self.top).mask)
         if match is None:
             return None
         idx, direct = match
         base = self.history[idx].level + 1
-        if base > n:
-            n = base
-            b = self.lift(b, n)
-        pulled = self.image_test(b, base)
+        pulled = self.lift(b, base) if b.level <= base else self.image_test(b, base)
         if pulled is None:
             return None
         c, tc = pulled.mask, self.transpose(pulled).mask
         if not direct:
             c, tc = tc, c
         ev = self._levels[base].event_image_mask
-        return self.lift(PropSet(base, (c & ev) | (tc & ~ev), pulled.width), n)
+        return self.lift(PropSet(base, (c & ev) | (tc & ~ev), pulled.width),
+                         max(base, b.level, a.level))
 
     def is_defined(self, b: PropSet, a: PropSet) -> bool:
         """Whether ``f_eval(b, a)`` would succeed without a further step."""
@@ -466,20 +455,21 @@ class ModelState:
             self._canonical_push(n, b_mask)
 
     def ensure(self, b: PropSet, a: PropSet) -> PropSet:
-        """Run steps until ``f(b, a)`` is defined; return it at the top level.
+        """Run steps until ``f(b, a)`` is defined; return it.
 
-        The value equals ``lift(f_eval(b, a), top)`` after the steps.
-        Demand mode needs at most one step (processing ``a``'s family at
-        the top level).  Canonical mode advances the task list until the
-        pair is defined, which may hit the resource caps.  A snapshot
-        returns a defined pair's value and raises
-        :class:`FrozenStateError` for any other.
+        The value equals ``f_eval(b, a)`` after the steps: it sits at the
+        higher of the defining level and the operands' levels, not
+        necessarily at the top.  Demand mode needs at most one step
+        (processing ``a``'s family at the top level).  Canonical mode
+        advances the task list until the pair is defined, which may hit
+        the resource caps.  A snapshot returns a defined pair's value and
+        raises :class:`FrozenStateError` for any other.
         """
         value = self._conditional(b, a)
         if value is None:
             self._assert_writable()
             if self.mode == "demand":
-                self.step(self.lift(a, self.top))
+                self.step(a)
                 value = self._conditional(b, a)
                 if value is None:
                     raise ModelError("internal error: step did not define the pair")
@@ -487,7 +477,7 @@ class ModelState:
                 while value is None:
                     self.step()
                     value = self._conditional(b, a)
-        return self.lift(value, self.top)
+        return value
 
     # --- canonical task list -----------------------------------------------
 
@@ -568,7 +558,6 @@ class ModelState:
         clone._levels = list(self._levels)
         clone.history = list(self.history)
         clone._event_lifts = list(self._event_lifts)
-        clone._h_cache = dict(self._h_cache)
         clone._schedule_items = []
         clone._frozen = True
         return clone

@@ -30,7 +30,9 @@ from typing import NamedTuple
 from .evaluator import assign
 from .formula import And, Cond, Formula
 from .model import ModelError, ModelState
-from .worlds import _FLAGS, NARROW_WIDTH, bit_indices, bit_string
+from .worlds import NARROW_WIDTH, bit_indices, bit_string
+
+_FLAGS = bytes.maketrans(b"01", b"\x00\x01")   # bit string -> compress() selectors
 
 
 class MeasureError(ModelError):
@@ -181,7 +183,8 @@ class MeasureState:
         """
         n = value.level
         if n == 0:
-            return sum(value.select(self._levels[0])), self._denoms[0]
+            w = self._levels[0]
+            return sum(w[i] for i in bit_indices(value.mask)), self._denoms[0]
         self.extend_to(state, n - 1)
         rows, halves, scale, factors = self._step(state, n - 1)
         w = self._levels[n - 1]

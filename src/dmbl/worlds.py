@@ -6,13 +6,12 @@ other half of ``x``'s block.  The rows of the processed-event side (the
 blocks' Pi x Gamma parts) come first by ascending ``x``, then those of the
 complementary side (Gamma x Pi).  A set of worlds is a bitmask over that
 index space.  On a wide level the coordinate swap moves whole rows of
-its bit string, and ``PropSet.select`` reads that string in one pass.
+its bit string, and a measure reads a set's weights off that string.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress
 from typing import Optional
 
 
@@ -28,10 +27,9 @@ _BYTE_BITS = [tuple(b for b in range(8) if (v >> b) & 1) for v in range(256)]
 
 # widest level walked bit by bit instead of through its bit string.  Median
 # per random mask, gc.collect() before each call: transpose 18 us by bits
-# against 46 us by rows at width 32, 108 against 69 at width 384; select
-# 16 us by index against 18 us by compress at 32, 49 against 32 at 384
+# against 46 us by rows at width 32, 108 against 69 at width 384; a set's
+# weights 16 us by index against 18 us by compress at 32, 49 against 32 at 384
 NARROW_WIDTH = 64
-_FLAGS = bytes.maketrans(b"01", b"\x00\x01")   # bit string -> compress() selectors
 
 
 def bit_indices(mask: int) -> list[int]:
@@ -108,13 +106,6 @@ class PropSet:
 
     def indices(self) -> list[int]:
         return bit_indices(self.mask)
-
-    def select(self, values: list):
-        """The entries of a per-world list at this set's worlds, in order."""
-        if self.width <= NARROW_WIDTH:
-            return [values[i] for i in bit_indices(self.mask)]
-        flags = bit_string(self.mask, self.width).encode().translate(_FLAGS)
-        return compress(values, flags)
 
     # operator sugar, set semantics
     __or__ = union

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import time
 
@@ -264,6 +265,29 @@ def test_json_reports_are_byte_identical(capsys):
     assert a == b
 
 
+# sha256 of the stdout of each report; any change to a report's bytes shows here
+GOLDEN_REPORTS = [
+    (["eval", "((((q|p)|q)|p /\\ q)|p \\/ q)", "--json"],
+     "5f66ffcf600a0a2ec12c9166a771950f81c41793e068fd7aa208f5b7ba25cb49"),
+    (["dump-model", "--step", "p", "--step", "(q|p)", "--json"],
+     "cdb9534f0e75cb7e60eb3eacd79815d99e561eccd6c0b22e17f6d0b78a127ac2"),
+    (["b6-diag", "p", "q", "(q|p)", "--json"],
+     "1ade024a1bf2193770d7ec3887cacfbf8eda3bc9c11469276c0db3badc478c0a"),
+    (["decide", "((q|p)) * p", "--json"],
+     "6615dfae7fd78f75250e5dd5a2d0506961f56ea39d3003ffb53073e42cea44ea"),
+    (["bayes", "(q|p)", "(p|q)", "--json"],
+     "bf67066cf846e1ded865dcf5053f9cd3f269609041a9634c40fa1fe09297e866"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", GOLDEN_REPORTS,
+                         ids=[argv[0] for argv, _ in GOLDEN_REPORTS])
+def test_reports_match_their_golden_hashes(capsys, argv, digest):
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_config_file(tmp_path, capsys):
     cfg = tmp_path / "engine.json"
     cfg.write_text(json.dumps({
@@ -284,6 +308,18 @@ def test_config_bad_measure(tmp_path, capsys):
     }))
     code, _, err = run(capsys, "prob", "p", "--config", str(cfg))
     assert code == 2 and err.startswith("config error:")
+
+
+@pytest.mark.parametrize("argv", [["prob", "p"], ["bayes", "p", "q"]])
+def test_measure_key_above_the_base_is_config_error(tmp_path, capsys, argv):
+    # the conditional steps the model, so the key's value is no base world
+    cfg = tmp_path / "engine.json"
+    cfg.write_text(json.dumps({"measure": {
+        "(p|q) /\\ ~p": "1/4", "p /\\ ~q": "1/4", "~p /\\ q": "1/4", "~p /\\ ~q": "1/4"}}))
+    code, out, err = run(capsys, *argv, "--config", str(cfg))
+    assert code == 2 and out == ""
+    assert err.startswith("config error: measure key") and len(err.splitlines()) == 1
+    assert "is not a base-level set (its value is at level 1)" in err
 
 
 @pytest.mark.parametrize("weight", [float("inf"), float("-inf"), float("nan")])

@@ -27,6 +27,13 @@ formulas = st.one_of(
     st.lists(st.sampled_from(TOKENS), max_size=12).map(" ".join),
     st.integers(0, 10**6).map(lambda seed: to_text(random_formula(
         random.Random(seed), ["p", "q"], max_depth=4, allow_modal=True))))
+# measure keys: minterms, labels, any formula, and a conditional conjoined
+# with a literal, which often denotes one world above the base
+literals = st.sampled_from(["p", "~p", "q", "~q"])
+measure_keys = st.one_of(
+    st.sampled_from(MINTERMS + ["p", "a", "b"]), formulas,
+    st.builds("({}|{}) /\\ {}".format, literals, literals,
+              st.one_of(literals, st.sampled_from(MINTERMS))))
 json_values = st.recursive(
     st.one_of(st.none(), st.booleans(), st.integers(-2, 10**6),
               st.floats(allow_nan=True, allow_infinity=True), formulas,
@@ -49,7 +56,7 @@ configs = st.one_of(json_values, perturbed({
     "atoms": st.lists(st.sampled_from(["p", "q", "r"]), max_size=2, unique=True),
     "worlds": st.lists(st.sampled_from(["a", "b", "c"]), max_size=3, unique=True),
     "measure": st.dictionaries(
-        st.sampled_from(MINTERMS + ["p", "a", "b"]),
+        measure_keys,
         st.sampled_from(["1/4", "1/2", "0", "-1", "1/0", "x", 0.25,
                          float("inf"), float("nan")]),
         max_size=4),
@@ -144,3 +151,14 @@ def test_every_config_ends_cleanly(workdir, data):
     # the commands that read every config field, the measure included
     argv = data.draw(st.sampled_from([["prob", "p"], ["bayes", "p", "(q|p)"]]))
     ends_cleanly(argv + ["--config", data.draw(json_file(workdir / "engine.json", configs))])
+
+
+@settings(max_examples=200)
+@given(data=st.data())
+def test_every_measure_key_ends_cleanly(workdir, data):
+    # atom mode and well-formed weights, so that every drawn key is evaluated
+    measure = data.draw(st.dictionaries(measure_keys, st.sampled_from(["1/4", "1/2", "0"]),
+                                        min_size=1, max_size=4))
+    path = workdir / "measure.json"
+    path.write_text(json.dumps({"measure": measure}))
+    ends_cleanly(["prob", "p", "--config", str(path)])
