@@ -107,8 +107,8 @@ def assign(state: ModelState, f: Formula) -> Valuation:
 
 
 def valid(state: ModelState, f: Formula) -> bool:
-    """True when the formula's value is the full set."""
-    return assign(state, f).value.is_full
+    """True when the formula's value, at its own level, is the full set."""
+    return _eval(state, f).is_full
 
 
 def decide(state: ModelState, f: Formula) -> Decision:
@@ -142,7 +142,10 @@ def lewis_escape(state: ModelState, a: PropSet, b: PropSet) -> bool:
 
 @dataclass(frozen=True)
 class B6Report:
-    """Symmetry probe for independence, plus the optional nesting probe."""
+    """Symmetry probe for independence, plus the optional nesting probe.
+
+    The nesting values are top-level sets, listed by ``PropSet.index_text``.
+    """
 
     forward: bool                 # psi independent of phi
     backward: bool                # phi independent of psi
@@ -172,7 +175,7 @@ def diagnose_b6(state: ModelState, phi: Formula, psi: Formula,
         right = assign(state, Cond(eta, And(phi, psi))).value
         left = state.lift(left, right.level)
         star_equal = left == right
-        star_left = ",".join(map(str, left.indices()))
-        star_right = ",".join(map(str, right.indices()))
+        star_left = left.index_text()
+        star_right = right.index_text()
     return B6Report(forward=forward, backward=backward, star_left=star_left,
                     star_right=star_right, star_equal=star_equal)

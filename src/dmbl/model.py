@@ -177,7 +177,6 @@ class ModelState:
 
         self._levels: list[Level] = [Level(index=0, width=width)]
         self.history: list[ProcessedEvent] = []
-        self._event_lifts: list[int] = []
 
         if schedule == "canonical":
             if task_list is None:
@@ -336,15 +335,21 @@ class ModelState:
 
     # --- the conditional map ----------------------------------------------
 
-    def _find_match(self, mask_at_top: int) -> Optional[tuple[int, bool]]:
-        """Latest processed event whose lift equals the mask or its complement."""
-        full = (1 << self.width(self.top)) - 1
-        for i in range(len(self.history) - 1, -1, -1):
-            lifted = self._event_lifts[i]
-            if lifted == mask_at_top:
-                return i, True
-            if lifted == mask_at_top ^ full:
-                return i, False
+    def _find_match(self, mask: int, level: int) -> Optional[tuple[int, bool]]:
+        """Latest processed event equal to the set ``mask`` at ``level`` or to its complement.
+
+        Lifting is injective, so each event is compared at its own level, the
+        set lifted or pulled there; where it has no preimage, none lower can match.
+        """
+        for ev in reversed(self.history):
+            if level < ev.level:
+                mask, level = self._lift_mask(mask, level, ev.level), ev.level
+            while level > ev.level:
+                mask, level = self._pull_once(mask, level), level - 1
+                if mask is None:
+                    return None
+            if mask in (ev.event, ev.event ^ ((1 << self.width(level)) - 1)):
+                return ev.step, mask == ev.event
         return None
 
     def _conditional(self, b: PropSet, a: PropSet) -> Optional[PropSet]:
@@ -356,7 +361,7 @@ class ModelState:
         """
         if a.is_empty or a.is_full:
             return self.lift(b, max(b.level, a.level))
-        match = self._find_match(self.lift(a, self.top).mask)
+        match = self._find_match(a.mask, a.level)
         if match is None:
             return None
         idx, direct = match
@@ -412,16 +417,15 @@ class ModelState:
         if self.mode == "canonical":
             if event is not None:
                 raise ScheduleError("canonical mode draws events from the task list")
-            b_mask = self._canonical_pop_pair()
-        else:
-            if event is None:
-                raise ScheduleError("demand mode needs an explicit event")
-            b_mask = self.lift(event, n).mask
-            if b_mask in (0, full):
-                raise DegenerateEventError(
-                    "conditioning on the empty or full set needs no step")
+            event = PropSet(n, self._canonical_pop_pair(), self.width(n))
+        elif event is None:
+            raise ScheduleError("demand mode needs an explicit event")
+        b_mask = self.lift(event, n).mask
+        if b_mask in (0, full):
+            raise DegenerateEventError(
+                "conditioning on the empty or full set needs no step")
 
-        match = self._find_match(b_mask)
+        match = self._find_match(event.mask, event.level)
         if match is None:
             blocks = [(b_mask, b_mask ^ full)]
             case, nu = 1, None
@@ -445,8 +449,6 @@ class ModelState:
                           sum(2 * p.bit_count() * g.bit_count() for p, g in blocks))
 
         self._levels.append(build_level(n + 1, self.width(n), blocks))
-        self._event_lifts = [self._mu_mask(m, n) for m in self._event_lifts]
-        self._event_lifts.append(self._levels[n + 1].event_image_mask)
         self.history.append(ProcessedEvent(
             step=len(self.history), level=n, event=b_mask,
             case=case, nu=nu, blocks=tuple(blocks)))
@@ -550,14 +552,13 @@ class ModelState:
     def snapshot(self) -> "ModelState":
         """A read-only view of the levels and history built so far.
 
-        Level tables are shared (they never mutate); the containers are
-        copied, so later steps on the owner do not show through.
+        Level tables are shared (they never mutate); the level and history
+        lists are copied, so later steps on the owner do not show through.
         """
         clone = object.__new__(ModelState)
         clone.__dict__ = dict(self.__dict__)
         clone._levels = list(self._levels)
         clone.history = list(self.history)
-        clone._event_lifts = list(self._event_lifts)
         clone._schedule_items = []
         clone._frozen = True
         return clone

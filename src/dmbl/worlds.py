@@ -11,6 +11,7 @@ its bit string, and a measure reads a set's weights off that string.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -46,6 +47,19 @@ def bit_indices(mask: int) -> list[int]:
                 out.append(base + b)
         base += 8
     return out
+
+
+@functools.cache
+def _decimal_text(width: int) -> str:
+    """``"0,1,...,width-1,"``: every index below ``width``, each with its comma."""
+    return ",".join(map(str, range(width))) + ","
+
+
+def _decimal_offset(i: int) -> int:
+    # where index i starts in _decimal_text: i commas and the digits of
+    # 0..i-1, which is d * i less 10 + 100 + ... + 10^(d-1) for d-digit i
+    d = len(str(i))
+    return (d + 1) * i - (10 ** d - 10) // 9
 
 
 def mask_of(indices) -> int:
@@ -106,6 +120,17 @@ class PropSet:
 
     def indices(self) -> list[int]:
         return bit_indices(self.mask)
+
+    def index_text(self) -> str:
+        """``",".join(map(str, self.indices()))``, one slice of a cached text per run."""
+        bits = bit_string(self.mask, self.width) + "0"
+        text = _decimal_text(self.width)
+        parts = []
+        end = 0
+        while (start := bits.find("1", end)) >= 0:
+            end = bits.find("0", start)
+            parts.append(text[_decimal_offset(start):_decimal_offset(end) - 1])
+        return ",".join(parts)
 
     # operator sugar, set semantics
     __or__ = union

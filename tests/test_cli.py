@@ -266,22 +266,38 @@ def test_json_reports_are_byte_identical(capsys):
 
 
 # sha256 of the stdout of each report; any change to a report's bytes shows here
+DEEP = "((((q|p)|q)|p /\\ q)|p \\/ q)"    # builds the ladder 4, 8, 32, 384, 40960
 GOLDEN_REPORTS = [
-    (["eval", "((((q|p)|q)|p /\\ q)|p \\/ q)", "--json"],
-     "5f66ffcf600a0a2ec12c9166a771950f81c41793e068fd7aa208f5b7ba25cb49"),
-    (["dump-model", "--step", "p", "--step", "(q|p)", "--json"],
-     "cdb9534f0e75cb7e60eb3eacd79815d99e561eccd6c0b22e17f6d0b78a127ac2"),
-    (["b6-diag", "p", "q", "(q|p)", "--json"],
-     "1ade024a1bf2193770d7ec3887cacfbf8eda3bc9c11469276c0db3badc478c0a"),
-    (["decide", "((q|p)) * p", "--json"],
-     "6615dfae7fd78f75250e5dd5a2d0506961f56ea39d3003ffb53073e42cea44ea"),
-    (["bayes", "(q|p)", "(p|q)", "--json"],
-     "bf67066cf846e1ded865dcf5053f9cd3f269609041a9634c40fa1fe09297e866"),
+    pytest.param(["eval", DEEP, "--json"],
+                 "5f66ffcf600a0a2ec12c9166a771950f81c41793e068fd7aa208f5b7ba25cb49",
+                 id="eval"),
+    pytest.param(["dump-model", "--step", "p", "--step", "(q|p)", "--json"],
+                 "cdb9534f0e75cb7e60eb3eacd79815d99e561eccd6c0b22e17f6d0b78a127ac2",
+                 id="dump-model"),
+    pytest.param(["b6-diag", "p", "q", "(q|p)", "--json"],
+                 "1ade024a1bf2193770d7ec3887cacfbf8eda3bc9c11469276c0db3badc478c0a",
+                 id="b6-diag"),
+    pytest.param(["decide", "((q|p)) * p", "--json"],
+                 "6615dfae7fd78f75250e5dd5a2d0506961f56ea39d3003ffb53073e42cea44ea",
+                 id="decide"),
+    pytest.param(["bayes", "(q|p)", "(p|q)", "--json"],
+                 "bf67066cf846e1ded865dcf5053f9cd3f269609041a9634c40fa1fe09297e866",
+                 id="bayes"),
+    pytest.param(["b6-diag", "T", "T", "(q|q)", "--json"],
+                 "520a9bb7b2004f6f98ee9161f3ca5bb53f2377e2894461535a90e033e68e89b6",
+                 id="b6-diag-qq"),
+    # both nesting values list all 40960 top-level worlds: one run each
+    pytest.param(["b6-diag", "T", "T", DEEP, "--json"],
+                 "589f53cf9eca8af3bf7682b319bc9e054385b08f4f1e0d29fc7c84f045ab3f8b",
+                 id="b6-diag-full-top"),
+    # 24576 of the 40960 top-level worlds each, in three runs
+    pytest.param(["b6-diag", "T", "T", DEEP + " /\\ (q|p)", "--json"],
+                 "0019732522b20fb7620e33190a57a6cdeb013b1be07fb6adcd02f261ecd38883",
+                 id="b6-diag-three-runs"),
 ]
 
 
-@pytest.mark.parametrize("argv, digest", GOLDEN_REPORTS,
-                         ids=[argv[0] for argv, _ in GOLDEN_REPORTS])
+@pytest.mark.parametrize("argv, digest", GOLDEN_REPORTS)
 def test_reports_match_their_golden_hashes(capsys, argv, digest):
     code, out, err = run(capsys, *argv)
     assert code == 0 and err == ""

@@ -369,7 +369,7 @@ def _defined_pairs(s, rng, count=40):
     families = []
     for i, ev in enumerate(s.history):
         lifted = s._lift_mask(ev.event, ev.level, t)
-        if s._find_match(lifted)[0] == i:
+        if s._find_match(lifted, t)[0] == i:
             families.append((ev.level + 1, lifted))
     for _ in range(count):
         base, a_mask = rng.choice(families)
@@ -406,7 +406,7 @@ def test_conditional_union_distribution_random(seed):
     t = s.top
     for i, ev in enumerate(s.history):
         lifted = s._lift_mask(ev.event, ev.level, t)
-        if s._find_match(lifted)[0] != i:
+        if s._find_match(lifted, t)[0] != i:
             continue
         base = ev.level + 1
         bw = s.width(base)
@@ -416,6 +416,51 @@ def test_conditional_union_distribution_random(seed):
             c = s.lift(PropSet(base, rng.randrange(1 << bw), bw), t)
             assert s.f_eval(b | c, a) == s.f_eval(b, a) | s.f_eval(c, a)
             assert s.f_eval(b & c, a) == s.f_eval(b, a) & s.f_eval(c, a)
+
+
+def _random_canonical_state(seed):
+    rng = random.Random(seed)
+    atoms = rng.choice((["p"], ["p", "q"]))
+    width = 1 << len(atoms)
+    priority = rng.sample(range(1, (1 << width) - 1), rng.randrange(1, width))
+    s = ModelState.from_atoms(atoms, schedule="canonical", max_worlds=5000,
+                              task_list=seed_task_list(width, priority))
+    for _ in range(rng.randrange(1, 6)):
+        try:
+            s.step()
+        except CapExceededError:
+            break
+    return rng, s
+
+
+def _match_at_top(s, mask, level):
+    # the definition matching compares at the events' own levels against:
+    # every event and the set lifted to the top, latest event first
+    t = s.top
+    at_top = s._lift_mask(mask, level, t)
+    for i in range(len(s.history) - 1, -1, -1):
+        ev = s.history[i]
+        lifted = s._lift_mask(ev.event, ev.level, t)
+        if lifted == at_top:
+            return i, True
+        if lifted == at_top ^ ((1 << s.width(t)) - 1):
+            return i, False
+    return None
+
+
+@given(st.integers(min_value=0, max_value=3_000), st.booleans())
+def test_find_match_at_event_level_agrees_with_top(seed, canonical):
+    rng, s = (_random_canonical_state if canonical else _random_demand_state)(seed)
+    for n in range(s.num_levels):
+        full = (1 << s.width(n)) - 1
+        sets = [rng.randrange(full + 1) for _ in range(4)]   # mostly no preimage
+        if n:
+            sets.append(s._mu_mask(rng.randrange(1 << s.width(n - 1)), n - 1))
+        for ev in s.history[:n]:
+            lifted = s._lift_mask(ev.event, ev.level, n)
+            sets += [lifted, lifted ^ full]
+        for mask in sets:
+            assert s._find_match(mask, n) == _match_at_top(s, mask, n)
 
 
 @given(st.integers(min_value=0, max_value=3_000))

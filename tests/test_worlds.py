@@ -262,3 +262,17 @@ def test_bit_indices_match_a_bit_string_reference(width):
     for mask in [0, (1 << width) - 1, *sparse, *(rng.getrandbits(width) for _ in range(3))]:
         want = [i for i, c in enumerate(reversed(format(mask, f"0{width}b"))) if c == "1"]
         assert bit_indices(mask) == PropSet(0, mask, width).indices() == want
+
+
+@pytest.mark.parametrize("width", [1, 9, 10, 11, 99, 100, 101, 999, 1000, 1001,
+                                   9999, 10000, 10001, 40960])
+def test_index_text_matches_joined_indices(width):
+    rng = random.Random(width)
+    full = (1 << width) - 1
+    masks = [0, full, 1, 1 << (width - 1), 1 << rng.randrange(width)]
+    masks += [rng.getrandbits(width) for _ in range(3)]
+    # a few long runs, the shape of the sets diagnose_b6 lists
+    cuts = sorted(rng.randrange(width + 1) for _ in range(6))
+    masks.append(sum((1 << e) - (1 << s) for s, e in zip(cuts[::2], cuts[1::2])))
+    for m in masks:
+        assert PropSet(0, m, width).index_text() == ",".join(map(str, bit_indices(m)))
