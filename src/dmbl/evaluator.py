@@ -96,11 +96,12 @@ def _eval(state: ModelState, g: Formula) -> PropSet:
 
 
 def assign(state: ModelState, f: Formula) -> Valuation:
-    """Bottom-up value of ``f``; conditionals grow the state as needed.
+    """Bottom-up value of ``f``, lifted to the state's final top level.
 
-    Subformula values stay at their natural levels; only the result is
-    lifted, to the state's final top level.  Deterministic: the same state
-    and formula give the same value.
+    Conditionals grow the state as needed.  Subformula values stay at their
+    natural levels; the lift serves reports that list top-level worlds,
+    while validity and probabilities read the value at its own level.
+    Deterministic: the same state and formula give the same value.
     """
     v = state.lift(_eval(state, f), state.top)
     return Valuation(formula=f, value=v, level=v.level)

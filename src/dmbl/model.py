@@ -23,6 +23,9 @@ from typing import Optional
 from .worlds import Level, PropSet, WorldsError, bit_indices, build_level, mask_of
 
 
+CANONICAL_ENUM_WIDTH = 16   # widest level whose 2^width sets a task list may list
+
+
 class ModelError(Exception):
     """Base class for model-construction failures."""
 
@@ -53,7 +56,8 @@ class ProcessedEvent:
 
     ``level`` is the level the event lives at (the step built ``level + 1``).
     ``nu`` is the step index whose event this one re-processes (case 0).
-    Block masks are at ``level``.
+    Block masks are at ``level``.  ``lowest`` is the event's lowest
+    preimage as ``(level, mask)``, the canonical form events are matched by.
     """
 
     step: int
@@ -62,6 +66,7 @@ class ProcessedEvent:
     case: int
     nu: Optional[int]
     blocks: tuple[tuple[int, int], ...]
+    lowest: tuple[int, int]
 
 
 class _Marker:
@@ -97,11 +102,7 @@ def canonical_pairs(width: int) -> list[tuple[int, int]]:
 
 
 def default_task_list(width: int) -> list[int]:
-    flat = []
-    for rep, comp in canonical_pairs(width):
-        flat.append(rep)
-        flat.append(comp)
-    return flat
+    return seed_task_list(width, [])
 
 
 def seed_task_list(width: int, priority: list[int]) -> list[int]:
@@ -136,15 +137,13 @@ class ModelState:
     """
 
     def __init__(self, *, atoms=None, worlds=None, schedule: str = "demand",
-                 task_list=None, max_levels: int = 32, max_worlds: int = 200_000,
-                 canonical_enum_width: int = 16):
+                 task_list=None, max_levels: int = 32, max_worlds: int = 200_000):
         if (atoms is None) == (worlds is None):
             raise ModelError("give either atoms or an explicit base-world list")
         if schedule not in ("demand", "canonical"):
             raise ModelError(f"unknown schedule {schedule!r}")
         self.max_levels = max_levels
         self.max_worlds = max_worlds
-        self.canonical_enum_width = canonical_enum_width
         self.mode = schedule
         self._frozen = False
 
@@ -180,7 +179,7 @@ class ModelState:
 
         if schedule == "canonical":
             if task_list is None:
-                if width > self.canonical_enum_width:
+                if width > CANONICAL_ENUM_WIDTH:
                     raise CapExceededError(
                         "default task list needs 2^width enumeration; "
                         "pass an explicit task list")
@@ -266,9 +265,6 @@ class ModelState:
             raise ModelError(f"unknown atom {atom!r}")
         return PropSet(0, self._h0[atom], self.width(0))
 
-    def h_at(self, atom: str, level: int) -> PropSet:
-        return self.lift(self.h(atom), level)
-
     # --- morphism, transpose, image test ---------------------------------
 
     def _mu_mask(self, mask: int, level: int) -> int:
@@ -335,21 +331,23 @@ class ModelState:
 
     # --- the conditional map ----------------------------------------------
 
+    def _lowest(self, mask: int, level: int) -> tuple[int, int]:
+        """The set's lowest preimage as ``(level, mask)``: pulled while it has one."""
+        while level and (pulled := self._pull_once(mask, level)) is not None:
+            mask, level = pulled, level - 1
+        return level, mask
+
     def _find_match(self, mask: int, level: int) -> Optional[tuple[int, bool]]:
         """Latest processed event equal to the set ``mask`` at ``level`` or to its complement.
 
-        Lifting is injective, so each event is compared at its own level, the
-        set lifted or pulled there; where it has no preimage, none lower can match.
+        Lifting is an injective Boolean morphism, so two sets are equal exactly
+        when their lowest preimages are, and complements have complementary ones.
         """
+        low = self._lowest(mask, level)
+        comp = (low[0], low[1] ^ ((1 << self.width(low[0])) - 1))
         for ev in reversed(self.history):
-            if level < ev.level:
-                mask, level = self._lift_mask(mask, level, ev.level), ev.level
-            while level > ev.level:
-                mask, level = self._pull_once(mask, level), level - 1
-                if mask is None:
-                    return None
-            if mask in (ev.event, ev.event ^ ((1 << self.width(level)) - 1)):
-                return ev.step, mask == ev.event
+            if ev.lowest in (low, comp):
+                return ev.step, ev.lowest == low
         return None
 
     def _conditional(self, b: PropSet, a: PropSet) -> Optional[PropSet]:
@@ -429,6 +427,7 @@ class ModelState:
         if match is None:
             blocks = [(b_mask, b_mask ^ full)]
             case, nu = 1, None
+            lowest = self._lowest(event.mask, event.level)
         else:
             nu, direct = match
             if not direct:
@@ -443,7 +442,7 @@ class ModelState:
                        self._lift_mask(1 << (runs[r][0] + where[l][3]), base, n))
                       for l in self._levels[base].rows if where[l][0]
                       for w, r in enumerate(where[l][2], runs[l][0])]
-            case = 0
+            case, lowest = 0, self.history[nu].lowest
 
         self._check_width([lvl.width for lvl in self._levels],
                           sum(2 * p.bit_count() * g.bit_count() for p, g in blocks))
@@ -451,7 +450,7 @@ class ModelState:
         self._levels.append(build_level(n + 1, self.width(n), blocks))
         self.history.append(ProcessedEvent(
             step=len(self.history), level=n, event=b_mask,
-            case=case, nu=nu, blocks=tuple(blocks)))
+            case=case, nu=nu, blocks=tuple(blocks), lowest=lowest))
 
         if self.mode == "canonical":
             self._canonical_push(n, b_mask)
@@ -501,10 +500,10 @@ class ModelState:
 
     def _expand_marker(self, mk: _Marker) -> list:
         lvl = self._levels[mk.level]
-        if lvl.width > self.canonical_enum_width:
+        if lvl.width > CANONICAL_ENUM_WIDTH:
             raise CapExceededError(
                 f"canonical task list would enumerate 2^{lvl.width} sets "
-                f"(cap 2^{self.canonical_enum_width})")
+                f"(cap 2^{CANONICAL_ENUM_WIDTH})")
         excluded = set(mk.excluded)
         for sub in mk.excluded_markers:
             if sub.expansion is None:
@@ -574,7 +573,8 @@ class ModelState:
                 entry["pairs"] = [list(p) for p in lvl.pairs]
                 entry["event_image"] = list(range(lvl.split))
             if self.atoms:
-                entry["h"] = {a: self.h_at(a, lvl.index).indices() for a in self.atoms}
+                entry["h"] = {a: self.lift(self.h(a), lvl.index).indices()
+                              for a in self.atoms}
             levels.append(entry)
         history = []
         for ev in self.history:

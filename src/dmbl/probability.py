@@ -27,10 +27,10 @@ from fractions import Fraction
 from itertools import compress
 from typing import NamedTuple
 
-from .evaluator import assign
+from .evaluator import _eval
 from .formula import And, Cond, Formula
 from .model import ModelError, ModelState
-from .worlds import NARROW_WIDTH, bit_indices, bit_string
+from .worlds import bit_indices, bit_string
 
 _FLAGS = bytes.maketrans(b"01", b"\x00\x01")   # bit string -> compress() selectors
 
@@ -46,6 +46,8 @@ class BaseMeasure:
     weights: tuple[Fraction, ...]
 
     def __post_init__(self):
+        if not all(isinstance(w, Fraction) or type(w) is int for w in self.weights):
+            raise MeasureError("weights must be Fractions or ints")
         if any(w < 0 for w in self.weights):
             raise MeasureError("negative weight")
         if sum(self.weights, Fraction(0)) != 1:
@@ -200,34 +202,17 @@ class MeasureState:
 
 def _row_parts(rows, halves, value):
     """``(x, k, part)`` for each row ``x`` meeting ``value``, where ``part``
-    sums the weights in half ``k`` at the row's worlds in the set.
-
-    A wide set is read as a bit string, one slice per row; a narrow one
-    walks its set bits.
+    sums the weights in half ``k`` at the row's worlds in the set, read off
+    the set's bit string one slice per row.
     """
+    flags = bit_string(value.mask, value.width).encode().translate(_FLAGS)
     start = 0
-    if value.width > NARROW_WIDTH:
-        flags = bit_string(value.mask, value.width).encode().translate(_FLAGS)
-        for x, k in rows:
-            half = halves[k]
-            part = sum(compress(half, flags[start:start + len(half)]))
-            if part:
-                yield x, k, part
-            start += len(half)
-        return
-    end = part = 0
-    rows_left = iter(rows)
-    for c in bit_indices(value.mask):
-        if c >= end:
-            if part:
-                yield x, k, part
-                part = 0
-            while c >= end:
-                x, k = next(rows_left)
-                start, end = end, end + len(halves[k])
-        part += halves[k][c - start]
-    if part:
-        yield x, k, part
+    for x, k in rows:
+        half = halves[k]
+        part = sum(compress(half, flags[start:start + len(half)]))
+        if part:
+            yield x, k, part
+        start += len(half)
 
 
 class _LeadingMeasure(MeasureState):
@@ -267,9 +252,9 @@ def init_measure(state: ModelState, pi: BaseMeasure) -> MeasureState:
 
 
 def prob(state: ModelState, m: MeasureState, f: Formula) -> Fraction:
-    """Exact probability of a formula: the weight of its value set."""
-    val = assign(state, f)
-    return m.weight_of(state, val.value)
+    """Exact probability of a formula: the weight of its value set, read at
+    the value's natural level (extension keeps an embedded set's weight)."""
+    return m.weight_of(state, _eval(state, f))
 
 
 class BayesResult(NamedTuple):
@@ -293,5 +278,6 @@ def limit_prob(state: ModelState, pi: BaseMeasure, f: Formula) -> Fraction:
     so the extension runs on leading terms ``coeff * eps**order``: a base
     weight ``w > 0`` is ``(0, w)`` and ``w = 0`` is ``(1, 1/n)``.  The limit
     is the value's coefficient at order 0, or 0 if its order is higher.
+    The value is weighed at its natural level, as in ``prob``.
     """
-    return _LeadingMeasure(state, pi).weight_of(state, assign(state, f).value)
+    return _LeadingMeasure(state, pi).weight_of(state, _eval(state, f))

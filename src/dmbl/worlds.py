@@ -5,8 +5,8 @@ by rows: row ``x`` holds the pairs ``(x, y)`` with ``y`` ascending over the
 other half of ``x``'s block.  The rows of the processed-event side (the
 blocks' Pi x Gamma parts) come first by ascending ``x``, then those of the
 complementary side (Gamma x Pi).  A set of worlds is a bitmask over that
-index space.  On a wide level the coordinate swap moves whole rows of
-its bit string, and a measure reads a set's weights off that string.
+index space; a measure reads a set's weights off its bit string, and on a
+wide level the coordinate swap moves whole rows of that string.
 """
 
 from __future__ import annotations
@@ -26,10 +26,9 @@ class LevelMismatchError(WorldsError):
 
 _BYTE_BITS = [tuple(b for b in range(8) if (v >> b) & 1) for v in range(256)]
 
-# widest level walked bit by bit instead of through its bit string.  Median
-# per random mask, gc.collect() before each call: transpose 18 us by bits
-# against 46 us by rows at width 32, 108 against 69 at width 384; a set's
-# weights 16 us by index against 18 us by compress at 32, 49 against 32 at 384
+# widest level transposed bit by bit instead of through its bit string.
+# Median per random mask, gc.collect() before each call: 18 us by bits
+# against 46 us by rows at width 32, 108 against 69 at width 384
 NARROW_WIDTH = 64
 
 

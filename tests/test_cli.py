@@ -294,6 +294,13 @@ GOLDEN_REPORTS = [
     pytest.param(["b6-diag", "T", "T", DEEP + " /\\ (q|p)", "--json"],
                  "0019732522b20fb7620e33190a57a6cdeb013b1be07fb6adcd02f261ecd38883",
                  id="b6-diag-three-runs"),
+    # probabilities weigh values at their own level: phi sits below the top
+    pytest.param(["bayes", "((q|p)|q)", "p", "--json"],
+                 "6b539052963f104e5cda77bac56e8ac3d794f4801f2cf52001b8985782328fe6",
+                 id="bayes-nested"),
+    pytest.param(["prob", "p /\\ q", "--json"],
+                 "627cb6be4120cd1df2cd9bba27d31daadf73b628e2b6daa48fa222fff61418d8",
+                 id="prob-level-0"),
 ]
 
 

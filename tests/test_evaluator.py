@@ -298,8 +298,8 @@ def test_diagnose_b6_nesting_probe_matches_reference():
     rep = diagnose_b6(st_, parse("p"), parse("q"), parse("p \\/ q"))
     om, maps = drive_from_state(st_)
     t = st_.top
-    hp = to_set(maps, st_.h_at("p", t))
-    hq = to_set(maps, st_.h_at("q", t))
+    hp = to_set(maps, st_.lift(st_.h("p"), t))
+    hq = to_set(maps, st_.lift(st_.h("q"), t))
     heta = hp | hq
     left = om.f(om.f(heta, hq), hp)
     right = om.f(heta, hp & hq)

@@ -207,7 +207,7 @@ def test_atom_assignments_commute_with_embedding():
     s.step(s.lift(s.h("q"), 1))
     for atom in ("p", "q"):
         for n in range(s.top):
-            assert s.mu(s.h_at(atom, n)) == s.h_at(atom, n + 1)
+            assert s.mu(s.lift(s.h(atom), n)) == s.lift(s.h(atom), n + 1)
 
 
 def test_ensure_canonical_advances_cursor():
@@ -461,6 +461,15 @@ def test_find_match_at_event_level_agrees_with_top(seed, canonical):
             sets += [lifted, lifted ^ full]
         for mask in sets:
             assert s._find_match(mask, n) == _match_at_top(s, mask, n)
+
+
+@given(st.integers(min_value=0, max_value=3_000), st.booleans())
+def test_events_record_their_lowest_preimage(seed, canonical):
+    _, s = (_random_canonical_state if canonical else _random_demand_state)(seed)
+    for ev in s.history:
+        level, mask = ev.lowest
+        assert s._lift_mask(mask, level, ev.level) == ev.event
+        assert level == 0 or s._pull_once(mask, level) is None
 
 
 @given(st.integers(min_value=0, max_value=3_000))

@@ -8,7 +8,8 @@ from dmbl.evaluator import assign, independent
 from dmbl.formula import parse
 from dmbl.model import ModelState
 from dmbl.probability import (BaseMeasure, MeasureError, MeasureState,
-                              bayes_check, init_measure, limit_prob, prob)
+                              _LeadingMeasure, bayes_check, init_measure,
+                              limit_prob, prob)
 from dmbl.worlds import NARROW_WIDTH, PropSet, bit_indices, mask_of
 
 from genformulas import random_formula
@@ -32,6 +33,14 @@ def test_base_measure_validation():
                                   Fraction(2, 5)])  # sums to 9/10
     with pytest.raises(MeasureError):
         BaseMeasure.from_weights([Fraction(3, 2), Fraction(-1, 2)])
+
+
+def test_base_measure_rejects_float_weights():
+    for weights in ((0.5, 0.5), (Fraction(1, 2), 0.5), (True, False)):
+        with pytest.raises(MeasureError):
+            BaseMeasure(weights)
+    BaseMeasure((1, 0))                                   # plain ints are exact
+    assert BaseMeasure.from_weights([0.5, 0.5]).weights == (Fraction(1, 2),) * 2
 
 
 def test_uniform_measure():
@@ -349,6 +358,32 @@ def test_probability_laws_random(seed):
     if independent(s, phi, psi):
         assert p_and == p_phi * p_psi              # multiplicativity
     assert bayes_check(s, m, phi, psi).equal
+
+
+@given(st.integers(min_value=0, max_value=1_500))
+def test_prob_at_natural_level_equals_weight_at_top(seed):
+    rng = random.Random(seed)
+    f = random_formula(rng, ["p", "q"], max_depth=3, cond_budget=3, allow_modal=True)
+    s = ModelState.from_atoms(["p", "q"])
+    m = init_measure(s, _random_positive_measure(rng))
+    assert prob(s, m, f) == m.weight_of(s, assign(s, f).value)
+    zeros = rng.sample(range(4), rng.choice((1, 2)))
+    weights = [Fraction(0) if i in zeros else Fraction(rng.randrange(1, 9))
+               for i in range(4)]
+    pi = BaseMeasure.from_weights([w / sum(weights) for w in weights])
+    s = ModelState.from_atoms(["p", "q"])
+    got = limit_prob(s, pi, f)
+    assert got == _LeadingMeasure(s, pi).weight_of(s, assign(s, f).value)
+
+
+def test_prob_of_a_level_zero_value_needs_no_extension():
+    # a modal value sits at level 0 even when its body built a zero-weight block
+    s = ModelState.from_atoms(["p", "q"])
+    m = init_measure(s, BaseMeasure.from_weights([Fraction(1, 2), Fraction(1, 2), 0, 0]))
+    assert prob(s, m, parse("[](q|p)")) == 0
+    assert prob(s, m, parse("<>(q|p)")) == 1
+    with pytest.raises(MeasureError):
+        prob(s, m, parse("(q|p)"))
 
 
 def test_multiplicativity_on_known_independent_pairs():
