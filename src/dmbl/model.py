@@ -7,7 +7,9 @@ every level-``n`` set embeds into level ``n + 1`` through the injective
 Boolean morphism ``mu``, and the conditional map ``f(. , b)`` (and its
 complement orientation) becomes total over the new level via the closed
 form ``f(C, mu(b)) = (C & mu(b)) | (T(C) & ~mu(b))`` with ``T`` the
-coordinate swap.
+coordinate swap.  ``T`` exchanges ``mu(b)``'s image with its complement,
+so the form is ``S | T(S)`` with ``S = C & mu(b)`` (``S = C & ~mu(b)``
+for the complement orientation), and only ``S`` is transposed.
 
 Processing the same event family again (case 0) refines the blocks from
 the level that first processed it; a fresh event (case 1) uses the single
@@ -367,12 +369,11 @@ class ModelState:
         pulled = self.lift(b, base) if b.level <= base else self.image_test(b, base)
         if pulled is None:
             return None
-        c, tc = pulled.mask, self.transpose(pulled).mask
-        if not direct:
-            c, tc = tc, c
+        # T swaps the event image with its complement, so the closed form
+        # is S | T(S) with S the part of C on the conditioned side
         ev = self._levels[base].event_image_mask
-        return self.lift(PropSet(base, (c & ev) | (tc & ~ev), pulled.width),
-                         max(base, b.level, a.level))
+        side = PropSet(base, pulled.mask & (ev if direct else ~ev), pulled.width)
+        return self.lift(side | self.transpose(side), max(base, b.level, a.level))
 
     def is_defined(self, b: PropSet, a: PropSet) -> bool:
         """Whether ``f_eval(b, a)`` would succeed without a further step."""

@@ -10,7 +10,9 @@ denominator, so the extension runs on plain ``int`` products and sums and
 ``Fraction`` appears only where weights enter and leave.  A query extends
 the stored levels only up to the one below its set's level and reads the
 set's mass off it by rows: row ``x`` adds ``w[x]`` times its partners'
-weights in the set, scaled once per block half.
+weights in the set, scaled once per block half.  Each distinct row pattern
+of a half is summed once per read; a conditional's value ``S | T(S)``
+repeats its rows (see ``_row_parts``).
 A base measure with zeros is read through ``limit_prob``: the same
 extension runs over leading terms ``(order, coeff)`` in a vanishing uniform
 perturbation eps, where products add orders, sums keep the lowest order,
@@ -181,7 +183,8 @@ class MeasureState:
 
         Level 0 sums its stored weights.  Above it, each row meeting the
         set adds ``w[x]`` times its partners' weights in the set, and each
-        half's total is scaled by the half's factor once.
+        half's total is scaled by the half's factor once.  The partners'
+        sum is taken once per distinct row pattern (``_row_parts``).
         """
         n = value.level
         if n == 0:
@@ -204,15 +207,27 @@ def _row_parts(rows, halves, value):
     """``(x, k, part)`` for each row ``x`` meeting ``value``, where ``part``
     sums the weights in half ``k`` at the row's worlds in the set, read off
     the set's bit string one slice per row.
+
+    Each distinct ``(k, slice)`` is summed once per read.  Rows repeat: a
+    conditional's value is ``S | T(S)``, where ``S`` is a set lifted from
+    the level below and cut to one side of the split, so each row on that
+    side is all ones or all zeros and the rows of one block on the other
+    side share one column pattern.  The key needs ``k``: halves of one
+    length can share a slice and differ in weights.
     """
     flags = bit_string(value.mask, value.width).encode().translate(_FLAGS)
+    parts: dict = {}
     start = 0
     for x, k in rows:
         half = halves[k]
-        part = sum(compress(half, flags[start:start + len(half)]))
+        end = start + len(half)
+        key = k, flags[start:end]
+        part = parts.get(key)
+        if part is None:
+            part = parts[key] = sum(compress(half, key[1]))
         if part:
             yield x, k, part
-        start += len(half)
+        start = end
 
 
 class _LeadingMeasure(MeasureState):

@@ -301,7 +301,7 @@ def _case_zero_ladder():
 def test_weight_of_by_rows_matches_stored_level_weights(build, ladder):
     s = build()
     assert [s.width(n) for n in range(s.num_levels)] == ladder
-    assert min(ladder) <= NARROW_WIDTH < max(ladder)  # both row paths
+    assert min(ladder) <= NARROW_WIDTH < max(ladder)  # both transpose paths
     pi = BaseMeasure.from_weights(PRIME_WEIGHTS)
     stored = init_measure(s, pi)
     assert stored.extended_through() == s.top
@@ -320,6 +320,39 @@ def test_weight_of_by_rows_matches_stored_level_weights(build, ladder):
             assert stored.weight_of(s, PropSet(n, mask, width)) == want, (n, mask)
 
 
+def _repeated_row_sets(s, rng):
+    # a lift has all-ones or all-zeros rows, its transpose repeats one
+    # column pattern across rows, and a conditional's value does both
+    for n in range(1, s.num_levels):
+        below = PropSet(n - 1, rng.getrandbits(s.width(n - 1)), s.width(n - 1))
+        lifted = s.lift(below, n)
+        yield lifted
+        yield s.transpose(lifted)
+    for ev in s.history:
+        width = s.width(ev.level)
+        a = PropSet(ev.level, ev.event, width)
+        for _ in range(3):
+            b = PropSet(ev.level, rng.getrandbits(width), width)
+            yield s.f_eval(b, a)
+            yield s.f_eval(b, ~a)
+
+
+@pytest.mark.parametrize("measure", [MeasureState, _LeadingMeasure])
+@pytest.mark.parametrize("build", [_depth_four_chain, _case_zero_ladder],
+                         ids=["depth-four", "case-zero"])
+def test_weight_of_sets_with_repeated_rows(build, measure):
+    # rows with equal bits in halves of one length but different weights
+    # must not share a part
+    s = build()
+    pi = BaseMeasure.from_weights(PRIME_WEIGHTS)
+    stored = init_measure(s, pi)
+    weights = [stored.level_weights(n) for n in range(s.num_levels)]
+    m = measure(s, pi)
+    for ps in _repeated_row_sets(s, random.Random(23)):
+        want = sum((weights[ps.level][i] for i in ps.indices()), Fraction(0))
+        assert m.weight_of(s, ps) == want, (ps.level, ps.mask)
+
+
 def test_prob_stores_levels_below_the_top_only():
     s = ModelState.from_atoms(["p", "q"])
     pi = BaseMeasure.from_weights(PRIME_WEIGHTS)
@@ -329,6 +362,18 @@ def test_prob_stores_levels_below_the_top_only():
     assert s.top == 4
     assert m.extended_through() == s.top - 1
     assert got == prob(s, init_measure(s, pi), parse(DEPTH_FOUR))
+
+
+@pytest.mark.parametrize("text,want", [
+    (DEPTH_FOUR, Fraction(1)),
+    (DEPTH_FOUR + " <-> (p|q)", Fraction(34, 55)),
+], ids=["depth-four", "iff"])
+def test_prob_at_width_40960_under_prime_weights(text, want):
+    s = ModelState.from_atoms(["p", "q"])
+    pi = BaseMeasure.from_weights(PRIME_WEIGHTS)
+    got = prob(s, init_measure(s, pi), parse(text))
+    assert s.width(s.top) == 40960
+    assert got == limit_prob(s, pi, parse(text)) == want
 
 
 # --- law battery over random formulas -----------------------------------------
