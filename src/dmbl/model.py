@@ -9,7 +9,11 @@ complement orientation) becomes total over the new level via the closed
 form ``f(C, mu(b)) = (C & mu(b)) | (T(C) & ~mu(b))`` with ``T`` the
 coordinate swap.  ``T`` exchanges ``mu(b)``'s image with its complement,
 so the form is ``S | T(S)`` with ``S = C & mu(b)`` (``S = C & ~mu(b)``
-for the complement orientation), and only ``S`` is transposed.
+for the complement orientation).  When ``C`` lives below the defining
+level, ``S``'s rows are all ones or all zeros and ``T(S)`` repeats one
+pattern per block half, so the value is built row by row from ``C`` one
+level down (``Level.conditional``).  On a wide level ``T`` runs only when
+``C`` sits at or above the defining level.
 
 Processing the same event family again (case 0) refines the blocks from
 the level that first processed it; a fresh event (case 1) uses the single
@@ -295,6 +299,8 @@ class ModelState:
             raise ModelError("cannot lift downward")
         if target > self.top:
             raise ModelError(f"level {target} not built yet")
+        if target == ps.level:
+            return ps
         return PropSet(target, self._lift_mask(ps.mask, ps.level, target),
                        self.width(target))
 
@@ -366,14 +372,21 @@ class ModelState:
             return None
         idx, direct = match
         base = self.history[idx].level + 1
-        pulled = self.lift(b, base) if b.level <= base else self.image_test(b, base)
-        if pulled is None:
-            return None
-        # T swaps the event image with its complement, so the closed form
-        # is S | T(S) with S the part of C on the conditioned side
-        ev = self._levels[base].event_image_mask
-        side = PropSet(base, pulled.mask & (ev if direct else ~ev), pulled.width)
-        return self.lift(side | self.transpose(side), max(base, b.level, a.level))
+        lvl = self._levels[base]
+        if b.level < base:
+            # the closed form by rows, from the consequent one level below
+            value = PropSet(base, lvl.conditional(self.lift(b, base - 1).mask, direct),
+                            lvl.width)
+        else:
+            pulled = self.lift(b, base) if b.level == base else self.image_test(b, base)
+            if pulled is None:
+                return None
+            # T swaps the event image with its complement, so the closed form
+            # is S | T(S) with S the part of C on the conditioned side
+            ev = lvl.event_image_mask
+            side = PropSet(base, pulled.mask & (ev if direct else ~ev), pulled.width)
+            value = side | self.transpose(side)
+        return self.lift(value, max(base, b.level, a.level))
 
     def is_defined(self, b: PropSet, a: PropSet) -> bool:
         """Whether ``f_eval(b, a)`` would succeed without a further step."""

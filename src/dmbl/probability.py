@@ -10,8 +10,9 @@ denominator, so the extension runs on plain ``int`` products and sums and
 ``Fraction`` appears only where weights enter and leave.  A query extends
 the stored levels only up to the one below its set's level and reads the
 set's mass off it by rows: row ``x`` adds ``w[x]`` times its partners'
-weights in the set, scaled once per block half.  Each distinct row pattern
-of a half is summed once per read; a conditional's value ``S | T(S)``
+weights in the set, scaled once per block half.  The rows of a half that
+share a pattern add their ``w[x]`` first, so each distinct pattern is
+summed and multiplied once per read; a conditional's value ``S | T(S)``
 repeats its rows (see ``_row_parts``).
 A base measure with zeros is read through ``limit_prob``: the same
 extension runs over leading terms ``(order, coeff)`` in a vanishing uniform
@@ -183,8 +184,9 @@ class MeasureState:
 
         Level 0 sums its stored weights.  Above it, each row meeting the
         set adds ``w[x]`` times its partners' weights in the set, and each
-        half's total is scaled by the half's factor once.  The partners'
-        sum is taken once per distinct row pattern (``_row_parts``).
+        half's total is scaled by the half's factor once.  Rows with one
+        pattern add their ``w[x]`` before the one product of the pattern
+        (``_row_parts``).
         """
         n = value.level
         if n == 0:
@@ -192,10 +194,9 @@ class MeasureState:
             return sum(w[i] for i in bit_indices(value.mask)), self._denoms[0]
         self.extend_to(state, n - 1)
         rows, halves, scale, factors = self._step(state, n - 1)
-        w = self._levels[n - 1]
         totals = [0] * len(halves)
-        for x, k, part in _row_parts(rows, halves, value):
-            totals[k] += w[x] * part
+        for k, weight, part in _row_parts(rows, halves, self._levels[n - 1], value):
+            totals[k] += weight * part
         mass = sum(f * t for f, t in zip(factors, totals) if t)
         return mass, self._denoms[n - 1] * scale
 
@@ -203,31 +204,30 @@ class MeasureState:
         return Fraction(*self._mass(state, value))
 
 
-def _row_parts(rows, halves, value):
-    """``(x, k, part)`` for each row ``x`` meeting ``value``, where ``part``
-    sums the weights in half ``k`` at the row's worlds in the set, read off
-    the set's bit string one slice per row.
+def _row_parts(rows, halves, w, value):
+    """``(k, weight, part)`` for each distinct row pattern of ``value``:
+    ``part`` sums the weights in half ``k`` at the pattern's worlds and
+    ``weight`` sums ``w[x]`` over the rows ``x`` that carry it, read off the
+    set's bit string one slice per row.
 
-    Each distinct ``(k, slice)`` is summed once per read.  Rows repeat: a
-    conditional's value is ``S | T(S)``, where ``S`` is a set lifted from
-    the level below and cut to one side of the split, so each row on that
-    side is all ones or all zeros and the rows of one block on the other
-    side share one column pattern.  The key needs ``k``: halves of one
-    length can share a slice and differ in weights.
+    Patterns repeat: a conditional's value is ``S | T(S)``, where ``S`` is a
+    set lifted from the level below and cut to one side of the split, so
+    each row on that side is all ones or all zeros and the rows of one
+    block on the other side share one column pattern.  The key needs
+    ``k``: halves of one length can share a slice and differ in weights.
     """
     flags = bit_string(value.mask, value.width).encode().translate(_FLAGS)
-    parts: dict = {}
+    weights: dict = {}
     start = 0
     for x, k in rows:
-        half = halves[k]
-        end = start + len(half)
+        end = start + len(halves[k])
         key = k, flags[start:end]
-        part = parts.get(key)
-        if part is None:
-            part = parts[key] = sum(compress(half, key[1]))
-        if part:
-            yield x, k, part
+        weights[key] = weights.get(key, 0) + w[x]
         start = end
+    for (k, sel), weight in weights.items():
+        part = sum(compress(halves[k], sel))
+        if part:
+            yield k, weight, part
 
 
 class _LeadingMeasure(MeasureState):

@@ -6,13 +6,15 @@ other half of ``x``'s block.  The rows of the processed-event side (the
 blocks' Pi x Gamma parts) come first by ascending ``x``, then those of the
 complementary side (Gamma x Pi).  A set of worlds is a bitmask over that
 index space; a measure reads a set's weights off its bit string, and on a
-wide level the coordinate swap moves whole rows of that string.
+wide level the coordinate swap moves whole rows of that string.  A
+conditional's value is built row by row from a set one level down.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Optional
 
 
@@ -178,6 +180,57 @@ class Level:
     def block_of(self) -> list:
         return [self.where[x][1] for x in self.rows for _ in self.where[x][2]]
 
+    @functools.cached_property
+    def _segments(self) -> list:
+        # each block half split into runs of rows consecutive in table
+        # order, as (on_pi, first row's start, row count, row length, a
+        # reader of the rows' bits below, a reader of their partners');
+        # rows of one half have one length and ascending starts, so a run
+        # is consecutive exactly when its starts span that length per row
+        out = []
+        for pi, ga in self.blocks:
+            for on_pi, half, partners in ((True, pi, ga), (False, ga, pi)):
+                length, read_partners = len(partners), itemgetter(*partners)
+                todo = [half]
+                while todo:
+                    rows = todo.pop()
+                    first = self.runs[rows[0]][0]
+                    if self.runs[rows[-1]][0] - first == (len(rows) - 1) * length:
+                        out.append((on_pi, first, len(rows), length,
+                                    itemgetter(*rows), read_partners))
+                    else:
+                        todo += rows[:len(rows) // 2], rows[len(rows) // 2:]
+        return out
+
+    def conditional(self, below: int, direct: bool) -> int:
+        """``S | T(S)`` with ``S`` the set ``below`` of the previous level
+        lifted here and cut to one side: the Pi x Gamma rows when
+        ``direct``, else the Gamma x Pi rows.
+
+        Built by rows, without lifting or transposing: a row on the cut
+        side is all ones when its world is in ``below`` and all zeros
+        otherwise, and a row on the other side reads ``below`` over its
+        partners, the same pattern on every row of its block half.  Each
+        run of one half's consecutive rows is spread from those bits.  A
+        narrow level fills the cut side's rows one by one and transposes.
+        """
+        if self.width <= NARROW_WIDTH:
+            side = 0
+            for x in bit_indices(below):
+                if self.where[x][0] == direct:
+                    start, end = self.runs[x]
+                    side |= ((1 << end - start) - 1) << start
+            return side | self._transpose_bits(side)
+        s = bit_string(below, len(self.where))
+        out = 0
+        for on_pi, start, count, length, rows, partners in self._segments:
+            if on_pi == direct:
+                firsts = _spread(_read(s, rows), count, length)
+                out |= ((firsts << length) - firsts) << start
+            else:
+                out |= _spread((1 << count) - 1, count, length) * _read(s, partners) << start
+        return out
+
     def transpose(self, mask: int) -> int:
         """Image of ``mask`` under the swap ``(x, y) -> (y, x)``.
 
@@ -215,6 +268,34 @@ class Level:
 def bit_string(mask: int, width: int) -> str:
     """``mask`` as ``width`` characters ``'0'``/``'1'``, bit 0 first."""
     return format(mask, "b").zfill(width)[::-1]
+
+
+def _read(s: str, reader) -> int:
+    """The bits of bit string ``s`` that ``reader`` picks, the first one lowest."""
+    return int("".join(reader(s))[::-1], 2)
+
+
+@functools.cache
+def _spread_table(length: int) -> tuple:
+    # byte v -> the length bytes of sum(1 << i * length for set bits i of v);
+    # used for eight rows or more, so 256 * length bytes stay within 32
+    # bytes per world of the level
+    return tuple(sum(1 << i * length for i in _BYTE_BITS[v]).to_bytes(length, "little")
+                 for v in range(256))
+
+
+def _spread(bits: int, count: int, length: int) -> int:
+    """``sum(1 << i * length)`` over the set bits ``i < count`` of ``bits``.
+
+    Eight rows of ``length`` bits make ``length`` whole bytes, looked up
+    per byte of ``bits``; fewer than eight rows are shifted one by one.
+    """
+    if count < 8:
+        return sum(1 << i * length for i in _BYTE_BITS[bits])
+    table = _spread_table(length)
+    return int.from_bytes(b"".join(map(table.__getitem__,
+                                       bits.to_bytes((count + 7) // 8, "little"))),
+                          "little")
 
 
 def build_level(index: int, prev_width: int, blocks) -> Level:

@@ -4,8 +4,11 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from dmbl import worlds
+from dmbl.evaluator import assign
+from dmbl.formula import parse
 from dmbl.model import (CapExceededError, DegenerateEventError,
-                        FrozenStateError, ModelState, ScheduleError,
+                        FrozenStateError, ModelError, ModelState, ScheduleError,
                         UndefinedConditionalError, default_task_list,
                         seed_task_list)
 from dmbl.worlds import PropSet
@@ -497,3 +500,107 @@ def test_undefined_agrees_with_naive_reference(seed):
             assert not s.is_defined(b, a)
             continue
         assert to_set(maps, s.f_eval(b, a)) == want
+
+
+# --- the conditional's value built by rows --------------------------------
+
+
+def _depth_four_ladder():
+    s = ModelState.from_atoms(["p", "q"])
+    assign(s, parse("((((q|p)|q)|p /\\ q)|p \\/ q)"))
+    return s
+
+
+def _case_zero_ladder():
+    # re-processing p makes the last step one of four blocks
+    s = ModelState.from_atoms(["p", "q"])
+    s.step(s.h("p"))
+    s.step(s.lift(s.h("q"), 1))
+    s.step(s.lift(s.h("p"), 2))
+    return s
+
+
+def _interleaved_ladder():
+    # re-processing {a} after two events that split its lifts: a block half
+    # of the last level falls into several runs of consecutive rows
+    s = ModelState.from_worlds(["a", "b", "c"])
+    s.step(s.from_indices(0, [0]))
+    s.step(s.from_indices(1, [1, 3]))
+    s.step(s.from_indices(2, [5, 6]))
+    s.step(s.lift(s.from_indices(0, [0]), 3))
+    top = s.level(s.top)
+    assert len(top._segments) > 2 * len(top.blocks)
+    return s
+
+
+def _by_definition(s, b, base, direct):
+    # lift to the defining level, cut to one side, transpose, join
+    image = PropSet(base, s.level(base).event_image_mask, s.width(base))
+    side = s.lift(b, base) & (image if direct else ~image)
+    return side | s.transpose(side)
+
+
+@pytest.mark.parametrize("narrow", [worlds.NARROW_WIDTH, 0],
+                         ids=["narrow-by-bits", "rows-everywhere"])
+@pytest.mark.parametrize("build,ladder", [
+    (_depth_four_ladder, [4, 8, 32, 384, 40960]),
+    (_case_zero_ladder, [4, 8, 32, 128]),
+    (_interleaved_ladder, [3, 4, 8, 24, 160]),
+], ids=["depth-four", "case-zero", "interleaved"])
+def test_conditional_by_rows_matches_definition(build, ladder, narrow, monkeypatch):
+    monkeypatch.setattr(worlds, "NARROW_WIDTH", narrow)
+    s = build()
+    assert [s.width(n) for n in range(s.num_levels)] == ladder
+    defining = {}   # the levels where f_eval reads a family, with its event
+    for ev in s.history:
+        a = PropSet(ev.level, ev.event, s.width(ev.level))
+        idx, _ = s._find_match(a.mask, a.level)
+        defining[s.history[idx].level + 1] = a
+    rng = random.Random(29)
+    for base in range(1, s.num_levels):
+        lvl = s.level(base)
+        for lower in range(base):
+            width = s.width(lower)
+            for mask in [0, (1 << width) - 1, rng.getrandbits(width),
+                         rng.getrandbits(width), rng.getrandbits(width)]:
+                b = PropSet(lower, mask, width)
+                for direct in (True, False):
+                    want = _by_definition(s, b, base, direct)
+                    below = s.lift(b, base - 1).mask
+                    assert lvl.conditional(below, direct) == want.mask, (base, lower)
+                    if base in defining:
+                        a = defining[base]
+                        assert s.f_eval(b, a if direct else ~a) == want, (base, lower)
+
+
+@pytest.mark.parametrize("build", [_depth_four_ladder, _case_zero_ladder,
+                                   _interleaved_ladder],
+                         ids=["depth-four", "case-zero", "interleaved"])
+def test_conditional_at_or_above_the_defining_level(build):
+    # a consequent at the defining level or above has no constant rows and
+    # takes the cut-and-transpose path
+    s = build()
+    rng = random.Random(31)
+    for ev in s.history:
+        a = PropSet(ev.level, ev.event, s.width(ev.level))
+        idx, _ = s._find_match(a.mask, a.level)
+        base = s.history[idx].level + 1
+        width = s.width(base)
+        for _ in range(3):
+            b = PropSet(base, rng.getrandbits(width), width)
+            for direct, event in ((True, a), (False, ~a)):
+                want = _by_definition(s, b, base, direct)
+                assert s.f_eval(b, event) == want
+                assert s.f_eval(s.lift(b, s.top), event) == s.lift(want, s.top)
+
+
+def test_lift_onto_own_level_returns_the_set():
+    s = _case_zero_ladder()
+    for n in range(s.num_levels):
+        x = PropSet(n, random.Random(n).getrandbits(s.width(n)), s.width(n))
+        assert s.lift(x, n) is x
+        with pytest.raises(ModelError):
+            s.lift(x, s.top + 1)
+        if n:
+            with pytest.raises(ModelError):
+                s.lift(x, n - 1)
