@@ -11,8 +11,9 @@ coordinate swap.  ``T`` exchanges ``mu(b)``'s image with its complement,
 so the form is ``S | T(S)`` with ``S = C & mu(b)`` (``S = C & ~mu(b)``
 for the complement orientation).  When ``C`` lives below the defining
 level, ``S``'s rows are all ones or all zeros and ``T(S)`` repeats one
-pattern per block half, so the value is built row by row from ``C`` one
-level down (``Level.conditional``).  On a wide level ``T`` runs only when
+pattern per block half, so on a level wider than ``NARROW_WIDTH`` the
+value is built row by row from ``C`` one level down
+(``Level.conditional``).  ``T`` runs only on narrower levels or when
 ``C`` sits at or above the defining level.
 
 Processing the same event family again (case 0) refines the blocks from
@@ -26,7 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .worlds import Level, PropSet, WorldsError, bit_indices, build_level, mask_of
+from .worlds import (NARROW_WIDTH, Level, PropSet, WorldsError, bit_indices,
+                     build_level, mask_of)
 
 
 CANONICAL_ENUM_WIDTH = 16   # widest level whose 2^width sets a task list may list
@@ -373,12 +375,12 @@ class ModelState:
         idx, direct = match
         base = self.history[idx].level + 1
         lvl = self._levels[base]
-        if b.level < base:
+        if b.level < base and lvl.width > NARROW_WIDTH:
             # the closed form by rows, from the consequent one level below
             value = PropSet(base, lvl.conditional(self.lift(b, base - 1).mask, direct),
                             lvl.width)
         else:
-            pulled = self.lift(b, base) if b.level == base else self.image_test(b, base)
+            pulled = self.lift(b, base) if b.level <= base else self.image_test(b, base)
             if pulled is None:
                 return None
             # T swaps the event image with its complement, so the closed form

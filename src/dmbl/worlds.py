@@ -182,24 +182,25 @@ class Level:
 
     @functools.cached_property
     def _segments(self) -> list:
-        # each block half split into runs of rows consecutive in table
-        # order, as (on_pi, first row's start, row count, row length, a
-        # reader of the rows' bits below, a reader of their partners');
-        # rows of one half have one length and ascending starts, so a run
-        # is consecutive exactly when its starts span that length per row
-        out = []
+        # each block half cut into runs of rows consecutive in table order,
+        # as (on_pi, first row's start, row count, row length, a reader of
+        # the rows' bits below, a reader of their partners', the run's
+        # repunit: a one at each row's start).  This runs once per level of
+        # every new model, so a half whose rows span exactly its worlds
+        # (each half of a one-block level) is taken as one run without a
+        # pass over its rows
+        runs, out = self.runs, []
         for pi, ga in self.blocks:
             for on_pi, half, partners in ((True, pi, ga), (False, ga, pi)):
                 length, read_partners = len(partners), itemgetter(*partners)
-                todo = [half]
-                while todo:
-                    rows = todo.pop()
-                    first = self.runs[rows[0]][0]
-                    if self.runs[rows[-1]][0] - first == (len(rows) - 1) * length:
-                        out.append((on_pi, first, len(rows), length,
-                                    itemgetter(*rows), read_partners))
-                    else:
-                        todo += rows[:len(rows) // 2], rows[len(rows) // 2:]
+                one_run = runs[half[-1]][1] - runs[half[0]][0] == len(half) * length
+                cuts = [] if one_run else [i for i in range(1, len(half))
+                                           if runs[half[i]][0] != runs[half[i - 1]][1]]
+                for a, e in zip([0] + cuts, cuts + [len(half)]):
+                    count = e - a
+                    out.append((on_pi, runs[half[a]][0], count, length,
+                                itemgetter(*half[a:e]), read_partners,
+                                _spread((1 << count) - 1, count, length)))
         return out
 
     def conditional(self, below: int, direct: bool) -> int:
@@ -211,24 +212,16 @@ class Level:
         side is all ones when its world is in ``below`` and all zeros
         otherwise, and a row on the other side reads ``below`` over its
         partners, the same pattern on every row of its block half.  Each
-        run of one half's consecutive rows is spread from those bits.  A
-        narrow level fills the cut side's rows one by one and transposes.
+        run of one half's consecutive rows is spread from those bits.
         """
-        if self.width <= NARROW_WIDTH:
-            side = 0
-            for x in bit_indices(below):
-                if self.where[x][0] == direct:
-                    start, end = self.runs[x]
-                    side |= ((1 << end - start) - 1) << start
-            return side | self._transpose_bits(side)
         s = bit_string(below, len(self.where))
         out = 0
-        for on_pi, start, count, length, rows, partners in self._segments:
+        for on_pi, start, count, length, rows, partners, repunit in self._segments:
             if on_pi == direct:
-                firsts = _spread(_read(s, rows), count, length)
+                firsts = _spread(int("".join(rows(s))[::-1], 2), count, length)
                 out |= ((firsts << length) - firsts) << start
             else:
-                out |= _spread((1 << count) - 1, count, length) * _read(s, partners) << start
+                out |= repunit * int("".join(partners(s))[::-1], 2) << start
         return out
 
     def transpose(self, mask: int) -> int:
@@ -270,16 +263,12 @@ def bit_string(mask: int, width: int) -> str:
     return format(mask, "b").zfill(width)[::-1]
 
 
-def _read(s: str, reader) -> int:
-    """The bits of bit string ``s`` that ``reader`` picks, the first one lowest."""
-    return int("".join(reader(s))[::-1], 2)
-
-
-@functools.cache
+@functools.lru_cache(maxsize=16)
 def _spread_table(length: int) -> tuple:
-    # byte v -> the length bytes of sum(1 << i * length for set bits i of v);
-    # used for eight rows or more, so 256 * length bytes stay within 32
-    # bytes per world of the level
+    # byte v -> the length bytes of sum(1 << i * length for set bits i of v).
+    # Process-wide, for the 16 row lengths used last; it serves runs of
+    # eight rows or more, so the tables of one level's lengths total at
+    # most 32 bytes per world of it
     return tuple(sum(1 << i * length for i in _BYTE_BITS[v]).to_bytes(length, "little")
                  for v in range(256))
 

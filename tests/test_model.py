@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from dmbl import worlds
+from dmbl import model
 from dmbl.evaluator import assign
 from dmbl.formula import parse
 from dmbl.model import (CapExceededError, DegenerateEventError,
@@ -540,15 +540,15 @@ def _by_definition(s, b, base, direct):
     return side | s.transpose(side)
 
 
-@pytest.mark.parametrize("narrow", [worlds.NARROW_WIDTH, 0],
-                         ids=["narrow-by-bits", "rows-everywhere"])
+@pytest.mark.parametrize("narrow", [model.NARROW_WIDTH, 0],
+                         ids=["as-shipped", "rows-everywhere"])
 @pytest.mark.parametrize("build,ladder", [
     (_depth_four_ladder, [4, 8, 32, 384, 40960]),
     (_case_zero_ladder, [4, 8, 32, 128]),
     (_interleaved_ladder, [3, 4, 8, 24, 160]),
 ], ids=["depth-four", "case-zero", "interleaved"])
 def test_conditional_by_rows_matches_definition(build, ladder, narrow, monkeypatch):
-    monkeypatch.setattr(worlds, "NARROW_WIDTH", narrow)
+    monkeypatch.setattr(model, "NARROW_WIDTH", narrow)
     s = build()
     assert [s.width(n) for n in range(s.num_levels)] == ladder
     defining = {}   # the levels where f_eval reads a family, with its event
