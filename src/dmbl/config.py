@@ -47,6 +47,10 @@ class EngineConfig:
                 raise ConfigError(f"{key} must be a string")
         if self.measure is not None and not isinstance(self.measure, dict):
             raise ConfigError("measure must be an object")
+        for key, value in (self.measure or {}).items():
+            if not (isinstance(value, str) or type(value) is int):  # exact values only
+                raise ConfigError(f"bad rational {value!r} for {key!r}: "
+                                  "give a string or an integer")
         if self.task_list is not None and not isinstance(self.task_list, list):
             raise ConfigError("task_list must be a list")
         if self.atoms is None and self.worlds is None:

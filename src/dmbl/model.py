@@ -20,6 +20,11 @@ Processing the same event family again (case 0) refines the blocks from
 the level that first processed it; a fresh event (case 1) uses the single
 block ``(b, ~b)``.  Two schedules are provided: ``demand`` processes the
 requested event immediately, ``canonical`` follows the cyclic task list.
+
+The task list holds every nondegenerate set of the built levels exactly
+once: a step re-queues its pair one level up, behind a marker for the new
+level.  So a marker stands for the sets of its level that have no
+preimage one level down, and is expanded by that test when it is reached.
 """
 
 from __future__ import annotations
@@ -75,18 +80,6 @@ class ProcessedEvent:
     nu: Optional[int]
     blocks: tuple[tuple[int, int], ...]
     lowest: tuple[int, int]
-
-
-class _Marker:
-    """Lazy stand-in for the new sets a finished step appends to the task list."""
-
-    __slots__ = ("level", "excluded", "excluded_markers", "expansion")
-
-    def __init__(self, level: int, excluded: list[int], excluded_markers: list["_Marker"]):
-        self.level = level
-        self.excluded = excluded          # masks at self.level already listed elsewhere
-        self.excluded_markers = excluded_markers
-        self.expansion: Optional[list[tuple[int, int]]] = None
 
 
 def _pair_key(mask: int) -> tuple:
@@ -193,7 +186,7 @@ class ModelState:
                         "pass an explicit task list")
                 task_list = default_task_list(width)
             self._validate_task_list(task_list, width)
-            self._schedule_items: list = [("set", m, 0) for m in task_list]
+            self._schedule_items: list = [(m, 0) for m in task_list]
         else:
             self._schedule_items = []
 
@@ -469,7 +462,7 @@ class ModelState:
             case=case, nu=nu, blocks=tuple(blocks), lowest=lowest))
 
         if self.mode == "canonical":
-            self._canonical_push(n, b_mask)
+            self._canonical_push(n)
 
     def ensure(self, b: PropSet, a: PropSet) -> PropSet:
         """Run steps until ``f(b, a)`` is defined; return it.
@@ -500,13 +493,12 @@ class ModelState:
 
     def _canonical_pop_pair(self) -> int:
         items = self._schedule_items
-        while items and isinstance(items[0], _Marker):
-            expansion = self._expand_marker(items.pop(0))
-            items[:0] = expansion
-        if len(items) < 2 or any(isinstance(x, _Marker) for x in items[:2]):
+        while items and items[0][0] is None:
+            items[:1] = self._expand_marker(items[0][1])
+        if len(items) < 2:
             raise ScheduleError("task list front is not a complement pair")
-        kind, mask, level = items.pop(0)
-        kind2, mask2, level2 = items.pop(0)
+        (mask, level), (mask2, level2) = items[:2]
+        del items[:2]
         n = self.top
         b = self._lift_mask(mask, level, n)
         b2 = self._lift_mask(mask2, level2, n)
@@ -514,49 +506,28 @@ class ModelState:
             raise ScheduleError("task list front pair is not complement-paired")
         return b
 
-    def _expand_marker(self, mk: _Marker) -> list:
-        lvl = self._levels[mk.level]
-        if lvl.width > CANONICAL_ENUM_WIDTH:
+    def _expand_marker(self, level: int) -> list[tuple[int, int]]:
+        """The pairs a ``level`` marker stands for: those with no preimage one level down."""
+        width = self.width(level)
+        if width > CANONICAL_ENUM_WIDTH:
             raise CapExceededError(
-                f"canonical task list would enumerate 2^{lvl.width} sets "
+                f"canonical task list would enumerate 2^{width} sets "
                 f"(cap 2^{CANONICAL_ENUM_WIDTH})")
-        excluded = set(mk.excluded)
-        for sub in mk.excluded_markers:
-            if sub.expansion is None:
-                raise ScheduleError("task-list marker expanded out of order")
-            for m, m_level in sub.expansion:
-                excluded.add(self._lift_mask(m, m_level, mk.level))
-        out = []
-        for rep, comp in canonical_pairs(lvl.width):
-            if rep in excluded or comp in excluded:
-                continue
-            out.append(("set", rep, mk.level))
-            out.append(("set", comp, mk.level))
-        mk.expansion = [(m, lv) for (_, m, lv) in out]
-        return out
+        return [(m, level) for rep, comp in canonical_pairs(width)
+                if self._pull_once(rep, level) is None for m in (rep, comp)]
 
-    def _canonical_push(self, n: int, b_mask: int) -> None:
+    def _canonical_push(self, n: int) -> None:
         new = n + 1
         mu_b = self._levels[new].event_image_mask
-        excluded = [mu_b, mu_b ^ ((1 << self.width(new)) - 1)]
-        excluded_markers = []
-        for item in self._schedule_items:
-            if isinstance(item, _Marker):
-                excluded_markers.append(item)
-            else:
-                _, mask, level = item
-                excluded.append(self._lift_mask(mask, level, new))
-        self._schedule_items.append(_Marker(new, excluded, excluded_markers))
-        self._schedule_items.append(("set", mu_b, new))
-        self._schedule_items.append(("set", excluded[1], new))
+        self._schedule_items += [(None, new), (mu_b, new),
+                                 (mu_b ^ ((1 << self.width(new)) - 1), new)]
 
     def pending_task_front(self, count: int = 8) -> list[PropSet]:
         """The next concrete task-list entries (diagnostic view)."""
         out = []
-        for item in self._schedule_items:
-            if isinstance(item, _Marker):
+        for mask, level in self._schedule_items:
+            if mask is None:
                 break
-            _, mask, level = item
             out.append(PropSet(level, mask, self.width(level)))
             if len(out) >= count:
                 break

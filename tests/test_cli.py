@@ -301,6 +301,13 @@ GOLDEN_REPORTS = [
     pytest.param(["prob", "p /\\ q", "--json"],
                  "627cb6be4120cd1df2cd9bba27d31daadf73b628e2b6daa48fa222fff61418d8",
                  id="prob-level-0"),
+    # the canonical schedule, stepping through the default task list
+    pytest.param(["eval", "(q|p)", "--schedule", "canonical", "--json"],
+                 "8ec69ea0db907acd31104c7c60f631027f49efe4eafa1328e478c6ef8cea782e",
+                 id="eval-canonical"),
+    pytest.param(["decide", "((~q)|p) <-> ~(q|p)", "--schedule", "canonical", "--json"],
+                 "9f063ce454e1420d35eb7091ee8c9ed60bd59531a0146f3f5e7bd9c3da79f2ea",
+                 id="decide-canonical"),
 ]
 
 
@@ -376,8 +383,11 @@ def test_explicit_world_config(tmp_path, capsys):
     {"measure": ["p"]},
     {"task_list": "p"},
     ["atoms", "p"],
+    {"worlds": ["a", "b"], "measure": {"a": True, "b": 0}},
+    {"worlds": ["a", "b", "c"], "measure": {"a": 0.1, "b": 0.2, "c": 0.7}},
 ], ids=["str-cap", "str-atoms", "int-atom", "bool-cap", "int-schedule",
-        "null-output", "unknown-output", "list-measure", "str-task-list", "top-level-list"])
+        "null-output", "unknown-output", "list-measure", "str-task-list", "top-level-list",
+        "bool-measure-value", "float-measure-values"])
 def test_config_value_of_wrong_type_is_config_error(tmp_path, capsys, data):
     cfg = tmp_path / "engine.json"
     cfg.write_text(json.dumps(data))

@@ -257,6 +257,24 @@ def test_canonical_marker_expansion_three_worlds():
     drive_from_state(s)  # whole canonical history matches the naive build
 
 
+def test_canonical_marker_expands_to_the_new_sets_in_order():
+    # the level-1 marker stands for every pair of canonical_pairs(4) whose
+    # representative is no lifted level-0 set, in that order
+    s = ModelState.from_worlds(["a", "b", "c"], schedule="canonical",
+                               task_list=APP_TASKS)
+    for _ in range(4):
+        s.step()
+    lifted = {s.lift(PropSet(0, m, 3), 1).mask for m in range(1, 7)}
+    expected = [m for pair in model.canonical_pairs(4) if pair[0] not in lifted
+                for m in pair]
+    assert expected == [4, 11, 8, 7, 5, 10, 9, 6]
+    ev = s.history[3]
+    first = s.image_test(PropSet(ev.level, ev.event, s.width(ev.level)), 1)
+    front = s.pending_task_front(6)
+    assert all(ps.level == 1 for ps in front)
+    assert [first.mask, first.complement().mask] + [ps.mask for ps in front] == expected
+
+
 def test_decide_with_conditional_valued_event():
     # conditioning on a conditional: the event itself lies outside the
     # embedded base algebra and is processed as a fresh case-1 step
@@ -304,7 +322,7 @@ def test_canonical_task_list_reappends_processed_pair():
     # lifted tail first, up to the lazy new-entries marker
     assert [ps.mask for ps in s.pending_task_front(16)] == APP_TASKS[2:]
     # the processed pair reappears at the very back, at the new level
-    kind, mask, level = s._schedule_items[-2]
+    mask, level = s._schedule_items[-2]
     assert (mask, level) == (s.level(1).event_image_mask, 1)
 
 
