@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -126,6 +128,9 @@ def build_measure(cfg: EngineConfig, state: ModelState) -> BaseMeasure:
     seen = [False] * state.width(0)
     for key, value in cfg.measure.items():
         try:
+            exp = isinstance(value, str) and re.search(r"[eE]([-+]?[\d_]+)\s*\Z", value)
+            if exp and abs(int(exp[1])) > (bound := sys.int_info.default_max_str_digits):
+                raise ValueError(f"decimal exponent beyond {bound}")
             frac = Fraction(value)
         except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
             raise ConfigError(f"bad rational {value!r} for {key!r}: {exc}") from None

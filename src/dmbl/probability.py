@@ -10,10 +10,10 @@ denominator, so the extension runs on plain ``int`` products and sums and
 ``Fraction`` appears only where weights enter and leave.  A query extends
 the stored levels only up to the one below its set's level and reads the
 set's mass off it by rows: row ``x`` adds ``w[x]`` times its partners'
-weights in the set, scaled once per block half.  The rows of a half that
-share a pattern add their ``w[x]`` first, so each distinct pattern is
-summed and multiplied once per read; a conditional's value ``S | T(S)``
-repeats its rows (see ``_row_parts``).
+weights in the set, scaled once per block half.  A wide level is read by
+runs of a half's consecutive rows, and a rank-one run, as every run of a
+conditional's value ``S | T(S)`` is, costs one product.  Narrow levels
+and other runs walk their rows, one product per distinct row pattern.
 A base measure with zeros is read through ``limit_prob``: the same
 extension runs over leading terms ``(order, coeff)`` in a vanishing uniform
 perturbation eps, where products add orders, sums keep the lowest order,
@@ -33,9 +33,9 @@ from typing import NamedTuple
 from .evaluator import _eval
 from .formula import And, Cond, Formula
 from .model import ModelError, ModelState
-from .worlds import bit_indices, bit_string
+from .worlds import NARROW_WIDTH, bit_indices, bit_string
 
-_FLAGS = bytes.maketrans(b"01", b"\x00\x01")   # bit string -> compress() selectors
+_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
 
 
 class MeasureError(ModelError):
@@ -184,9 +184,9 @@ class MeasureState:
 
         Level 0 sums its stored weights.  Above it, each row meeting the
         set adds ``w[x]`` times its partners' weights in the set, and each
-        half's total is scaled by the half's factor once.  Rows with one
-        pattern add their ``w[x]`` before the one product of the pattern
-        (``_row_parts``).
+        half's total is scaled by the half's factor once.  Levels wider than
+        ``NARROW_WIDTH`` are read by runs of rows (``_run_parts``), others
+        row by row, one product per distinct row pattern (``_row_parts``).
         """
         n = value.level
         if n == 0:
@@ -194,8 +194,12 @@ class MeasureState:
             return sum(w[i] for i in bit_indices(value.mask)), self._denoms[0]
         self.extend_to(state, n - 1)
         rows, halves, scale, factors = self._step(state, n - 1)
+        w = self._levels[n - 1]
+        parts = (_row_parts(rows, halves, w, _flags(value.mask, value.width))
+                 if value.width <= NARROW_WIDTH else
+                 _run_parts(state.level(n), halves, w, value.mask))
         totals = [0] * len(halves)
-        for k, weight, part in _row_parts(rows, halves, self._levels[n - 1], value):
+        for k, weight, part in parts:
             totals[k] += weight * part
         mass = sum(f * t for f, t in zip(factors, totals) if t)
         return mass, self._denoms[n - 1] * scale
@@ -204,19 +208,39 @@ class MeasureState:
         return Fraction(*self._mass(state, value))
 
 
-def _row_parts(rows, halves, w, value):
-    """``(k, weight, part)`` for each distinct row pattern of ``value``:
-    ``part`` sums the weights in half ``k`` at the pattern's worlds and
-    ``weight`` sums ``w[x]`` over the rows ``x`` that carry it, read off the
-    set's bit string one slice per row.
+def _run_parts(level, halves, w, mask):
+    """``_row_parts`` by the runs of ``level._segments``.  A run whose nonzero
+    rows all equal ``row``, the row of its lowest set bit, is ``firsts * row``
+    with ``firsts`` its bits in that bit's column (no carries): one part, the
+    ``w[x]`` of the rows ``firsts`` marks times ``row``'s weights in half
+    ``k``.  Other runs walk their rows."""
+    for _, start, count, length, _, _, repunit, k, worlds in level._segments:
+        chunk = mask >> start & ((1 << count * length) - 1)
+        if not chunk:
+            continue
+        low = (chunk & -chunk).bit_length() - 1
+        firsts = chunk >> low % length & repunit
+        row = chunk >> (low - low % length) & ((1 << length) - 1)
+        if firsts * row == chunk:
+            sel = bit_string(firsts, count * length)[::length].encode().translate(_FLAGS)
+            yield (k, sum(compress(map(w.__getitem__, worlds), sel)),
+                   sum(compress(halves[k], _flags(row, length))))
+        else:
+            yield from _row_parts([(x, k) for x in worlds], halves, w,
+                                  _flags(chunk, count * length))
 
-    Patterns repeat: a conditional's value is ``S | T(S)``, where ``S`` is a
-    set lifted from the level below and cut to one side of the split, so
-    each row on that side is all ones or all zeros and the rows of one
-    block on the other side share one column pattern.  The key needs
-    ``k``: halves of one length can share a slice and differ in weights.
-    """
-    flags = bit_string(value.mask, value.width).encode().translate(_FLAGS)
+
+def _flags(mask: int, width: int) -> bytes:
+    """``mask``'s bits as ``compress`` selectors, bit 0 first."""
+    return bit_string(mask, width).encode().translate(_FLAGS)
+
+
+def _row_parts(rows, halves, w, flags):
+    """``(k, weight, part)`` for each distinct row pattern of the set whose
+    bits ``flags`` holds in the order of ``rows``: ``part`` sums the weights
+    in half ``k`` at the pattern's worlds and ``weight`` sums ``w[x]`` over
+    the rows ``x`` that carry it, one slice of ``flags`` per row.  The key
+    needs ``k``: halves of one length can share a slice but not weights."""
     weights: dict = {}
     start = 0
     for x, k in rows:

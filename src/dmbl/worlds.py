@@ -5,9 +5,9 @@ by rows: row ``x`` holds the pairs ``(x, y)`` with ``y`` ascending over the
 other half of ``x``'s block.  The rows of the processed-event side (the
 blocks' Pi x Gamma parts) come first by ascending ``x``, then those of the
 complementary side (Gamma x Pi).  A set of worlds is a bitmask over that
-index space; a measure reads a set's weights off its bit string, and on a
-wide level the coordinate swap moves whole rows of that string.  A
-conditional's value is built row by row from a set one level down.
+index space.  On a wide level the coordinate swap moves whole rows of its
+bit string, a conditional's value is built by runs of rows from a set one
+level down, and a measure reads a set by the same runs.
 """
 
 from __future__ import annotations
@@ -28,9 +28,9 @@ class LevelMismatchError(WorldsError):
 
 _BYTE_BITS = [tuple(b for b in range(8) if (v >> b) & 1) for v in range(256)]
 
-# widest level transposed bit by bit instead of through its bit string.
-# Median per random mask, gc.collect() before each call: 18 us by bits
-# against 46 us by rows at width 32, 108 against 69 at width 384
+# widest level transposed bit by bit (18 us against 46 us by rows at width
+# 32, 108 against 69 at width 384, median per random mask after gc.collect()),
+# read by a measure row by row, and given no run table for its conditionals
 NARROW_WIDTH = 64
 
 
@@ -185,12 +185,12 @@ class Level:
         # each block half cut into runs of rows consecutive in table order,
         # as (on_pi, first row's start, row count, row length, a reader of
         # the rows' bits below, a reader of their partners', the run's
-        # repunit: a one at each row's start).  This runs once per level of
-        # every new model, so a half whose rows span exactly its worlds
-        # (each half of a one-block level) is taken as one run without a
-        # pass over its rows
+        # repunit: a one at each row's start, the measure's index of the half
+        # they pair with, the rows' worlds).  This runs once per level of every
+        # new model, so a half whose rows span exactly its worlds (each half
+        # of a one-block level) is taken as one run without a pass over its rows
         runs, out = self.runs, []
-        for pi, ga in self.blocks:
+        for b, (pi, ga) in enumerate(self.blocks):
             for on_pi, half, partners in ((True, pi, ga), (False, ga, pi)):
                 length, read_partners = len(partners), itemgetter(*partners)
                 one_run = runs[half[-1]][1] - runs[half[0]][0] == len(half) * length
@@ -200,7 +200,8 @@ class Level:
                     count = e - a
                     out.append((on_pi, runs[half[a]][0], count, length,
                                 itemgetter(*half[a:e]), read_partners,
-                                _spread((1 << count) - 1, count, length)))
+                                _spread((1 << count) - 1, count, length),
+                                2 * b + on_pi, half[a:e]))
         return out
 
     def conditional(self, below: int, direct: bool) -> int:
@@ -216,7 +217,7 @@ class Level:
         """
         s = bit_string(below, len(self.where))
         out = 0
-        for on_pi, start, count, length, rows, partners, repunit in self._segments:
+        for on_pi, start, count, length, rows, partners, repunit, _, _ in self._segments:
             if on_pi == direct:
                 firsts = _spread(int("".join(rows(s))[::-1], 2), count, length)
                 out |= ((firsts << length) - firsts) << start

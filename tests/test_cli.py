@@ -396,6 +396,40 @@ def test_config_value_of_wrong_type_is_config_error(tmp_path, capsys, data):
     assert err.startswith("config error:") and len(err.splitlines()) == 1
 
 
+_MINTERMS = ["p /\\ q", "p /\\ ~q", "~p /\\ q", "~p /\\ ~q"]
+
+
+@pytest.mark.parametrize("data,key", [
+    ({"worlds": ["a", "b"], "measure": {"a": "1e3000000", "b": "0"}}, "a"),
+    ({"worlds": ["a", "b"], "measure": {"a": "1", "b": "1E-3_000_000"}}, "b"),
+    ({"measure": dict(zip(_MINTERMS, ["1e3000000", "0", "0", "0"]))}, _MINTERMS[0]),
+    ({"measure": dict(zip(_MINTERMS, ["0", "0", "1", "1e-3000000"]))}, _MINTERMS[3]),
+], ids=["worlds-large", "worlds-small", "atoms-large", "atoms-small"])
+def test_config_measure_exponent_beyond_digit_bound_is_config_error(tmp_path, capsys,
+                                                                    data, key):
+    # Fraction would expand the power of ten exactly before any check
+    cfg = tmp_path / "engine.json"
+    cfg.write_text(json.dumps(data))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "prob", "T", "--config", str(cfg))
+    assert time.perf_counter() - start < 0.5
+    assert code == 2 and out == ""
+    assert err.startswith("config error: bad rational") and len(err.splitlines()) == 1
+    assert repr(key) in err and "exponent" in err
+
+
+@pytest.mark.parametrize("data", [
+    {"worlds": ["a", "b"], "measure": {"a": "1e-1", "b": "9e-1"}},
+    {"measure": dict(zip(_MINTERMS, ["1e-1", "2E-1", "3e-0_1", "0.04e1"]))},
+], ids=["worlds", "atoms"])
+def test_config_measure_with_exact_exponents_is_accepted(tmp_path, capsys, data):
+    cfg = tmp_path / "engine.json"
+    cfg.write_text(json.dumps(data))
+    code, out, err = run(capsys, "prob", "T", "--config", str(cfg))
+    assert code == 0 and err == ""
+    assert out.endswith("= 1 = 1.0\n")
+
+
 @pytest.mark.parametrize("schedule", ["demand", "canonical"])
 @pytest.mark.parametrize("caps,reason", [
     ([], "is not a base-level set (its value is at level 4)"),

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from dmbl import probability
 from dmbl.evaluator import assign, independent
 from dmbl.formula import parse
 from dmbl.model import ModelState
@@ -14,6 +15,7 @@ from dmbl.worlds import NARROW_WIDTH, PropSet, bit_indices, mask_of
 
 from genformulas import random_formula
 from oracle import drive_from_state
+from test_model import _interleaved_ladder
 
 APP_TASKS = [0b011, 0b100, 0b110, 0b001, 0b101, 0b010]
 APP_WEIGHTS = [Fraction(1, 5), Fraction(3, 10), Fraction(1, 2)]
@@ -351,6 +353,72 @@ def test_weight_of_sets_with_repeated_rows(build, measure):
     for ps in _repeated_row_sets(s, random.Random(23)):
         want = sum((weights[ps.level][i] for i in ps.indices()), Fraction(0))
         assert m.weight_of(s, ps) == want, (ps.level, ps.mask)
+
+
+# --- wide levels read one run of rows at a time ---------------------------------
+
+
+@pytest.fixture
+def row_walks(monkeypatch):
+    """The widths handed to the per-row loop, which a rank-one run skips."""
+    widths = []
+    real = probability._row_parts
+
+    def spy(rows, halves, w, flags):
+        widths.append(len(flags))
+        return real(rows, halves, w, flags)
+
+    monkeypatch.setattr(probability, "_row_parts", spy)
+    return widths
+
+
+def _run_test_sets(s, n, rng):
+    # a conditional's value S | T(S) is rank one on every run: each row on
+    # the cut side is all ones or all zeros, and each row of one run on the
+    # other side reads the same partners.  The union of both sides' values
+    # mixes all-ones rows with a pattern in one run; random sets mix more
+    lvl, below, width = s.level(n), s.width(n - 1), s.width(n)
+    rank_one, mixed = [], []
+    for _ in range(3):
+        values = [lvl.conditional(rng.getrandbits(below), direct)
+                  for direct in (True, False)]
+        rank_one += [PropSet(n, v, width) for v in values]
+        mixed += [PropSet(n, values[0] | values[1], width),
+                  PropSet(n, rng.getrandbits(width), width)]
+    return rank_one, mixed
+
+
+@pytest.mark.parametrize("measure", [MeasureState, _LeadingMeasure])
+@pytest.mark.parametrize("build,weights,ladder", [
+    (_depth_four_chain, PRIME_WEIGHTS, [4, 8, 32, 384, 40960]),
+    (_case_zero_ladder, PRIME_WEIGHTS, [4, 8, 32, 128]),
+    (_interleaved_ladder, APP_WEIGHTS, [3, 4, 8, 24, 160]),
+], ids=["depth-four", "case-zero", "interleaved"])
+def test_weight_of_by_runs_on_wide_levels(build, weights, ladder, measure, row_walks):
+    s = build()
+    assert [s.width(n) for n in range(s.num_levels)] == ladder
+    pi = BaseMeasure.from_weights(weights)
+    stored = init_measure(s, pi)
+    m = measure(s, pi)
+    rng = random.Random(37)
+    for n in [n for n, width in enumerate(ladder) if width > NARROW_WIDTH]:
+        level_weights = stored.level_weights(n)
+        rank_one, mixed = _run_test_sets(s, n, rng)
+        for sets, walked in ((rank_one, False), (mixed, True)):
+            for ps in sets:
+                want = sum((level_weights[i] for i in ps.indices()), Fraction(0))
+                assert m.weight_of(s, ps) == want, (n, ps.mask)
+            assert bool(row_walks) == walked, n
+            row_walks.clear()
+
+
+def test_union_reads_one_run_row_by_row(row_walks):
+    # at width 128 (four blocks, eight runs of four rows) the union has one
+    # run with two distinct nonzero rows
+    s = ModelState.from_atoms(["p", "q"])
+    f = parse("(((q|p)|q)|~p) \\/ ((q|p)|q)")
+    assert prob(s, init_measure(s, BaseMeasure.uniform(s)), f) == Fraction(99, 128)
+    assert s.width(s.top) == 128 and row_walks == [16]
 
 
 def test_prob_stores_levels_below_the_top_only():
