@@ -13,8 +13,9 @@ for the complement orientation).  When ``C`` lives below the defining
 level, ``S``'s rows are all ones or all zeros and ``T(S)`` repeats one
 pattern per block half, so on a level wider than ``NARROW_WIDTH`` the
 value is built row by row from ``C`` one level down
-(``Level.conditional``).  ``T`` runs only on narrower levels or when
-``C`` sits at or above the defining level.
+(``Level.conditional``), as lifts by ``mu`` onto that level and pulls off
+it are.  ``T`` runs only on narrower levels or when ``C`` sits at or above
+the defining level.
 
 Processing the same event family again (case 0) refines the blocks from
 the level that first processed it; a fresh event (case 1) uses the single
@@ -270,6 +271,8 @@ class ModelState:
 
     def _mu_mask(self, mask: int, level: int) -> int:
         nxt = self._levels[level + 1]
+        if nxt.width > NARROW_WIDTH:
+            return nxt.lift(mask) if mask else 0
         out = 0
         for p in bit_indices(mask):
             s, e = nxt.runs[p]
@@ -307,6 +310,8 @@ class ModelState:
 
     def _pull_once(self, mask: int, level: int) -> Optional[int]:
         # each parent's run must lie wholly inside or wholly outside the mask
+        if self._levels[level].width > NARROW_WIDTH:
+            return self._levels[level].pull(mask)
         parents = 0
         for p, (s, e) in enumerate(self._levels[level].runs):
             ones = (1 << (e - s)) - 1

@@ -33,7 +33,7 @@ from typing import NamedTuple
 from .evaluator import _eval
 from .formula import And, Cond, Formula
 from .model import ModelError, ModelState
-from .worlds import NARROW_WIDTH, bit_indices, bit_string
+from .worlds import NARROW_WIDTH, _gather, bit_indices, bit_string
 
 _FLAGS = bytes.maketrans(b"01", b"\x00\x01")
 
@@ -222,7 +222,7 @@ def _run_parts(level, halves, w, mask):
         firsts = chunk >> low % length & repunit
         row = chunk >> (low - low % length) & ((1 << length) - 1)
         if firsts * row == chunk:
-            sel = bit_string(firsts, count * length)[::length].encode().translate(_FLAGS)
+            sel = _gather(firsts, count, length)
             yield (k, sum(compress(map(w.__getitem__, worlds), sel)),
                    sum(compress(halves[k], _flags(row, length))))
         else:

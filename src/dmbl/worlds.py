@@ -6,14 +6,16 @@ other half of ``x``'s block.  The rows of the processed-event side (the
 blocks' Pi x Gamma parts) come first by ascending ``x``, then those of the
 complementary side (Gamma x Pi).  A set of worlds is a bitmask over that
 index space.  On a wide level the coordinate swap moves whole rows of its
-bit string, a conditional's value is built by runs of rows from a set one
-level down, and a measure reads a set by the same runs.
+bit string, and lifts, pulls, conditionals and a measure's reads go by runs
+of a block half's consecutive rows.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
+from itertools import compress
 from operator import itemgetter
 from typing import Optional
 
@@ -27,10 +29,11 @@ class LevelMismatchError(WorldsError):
 
 
 _BYTE_BITS = [tuple(b for b in range(8) if (v >> b) & 1) for v in range(256)]
+_BIT_AT = [bytes(v >> s & 1 for v in range(256)) for s in range(8)]
 
-# widest level transposed bit by bit (18 us against 46 us by rows at width
-# 32, 108 against 69 at width 384, median per random mask after gc.collect()),
-# read by a measure row by row, and given no run table for its conditionals
+# widest level transposed, lifted onto and pulled off bit by bit (a transpose:
+# 18 us against 46 us by rows at width 32, 108 against 69 at 384, median per
+# random mask after gc.collect()), read row by row, and given no run table
 NARROW_WIDTH = 64
 
 
@@ -218,11 +221,25 @@ class Level:
         s = bit_string(below, len(self.where))
         out = 0
         for on_pi, start, count, length, rows, partners, repunit, _, _ in self._segments:
-            if on_pi == direct:
-                firsts = _spread(int("".join(rows(s))[::-1], 2), count, length)
-                out |= ((firsts << length) - firsts) << start
-            else:
-                out |= repunit * int("".join(partners(s))[::-1], 2) << start
+            out |= (_filled(rows, s, count, length) if on_pi == direct else
+                    repunit * int("".join(partners(s))[::-1], 2)) << start
+        return out
+
+    def lift(self, below: int) -> int:
+        """The set ``below`` of the previous level embedded here, by runs."""
+        s = bit_string(below, len(self.where))
+        return sum(_filled(rows, s, count, length) << start
+                   for _, start, count, length, rows, *_ in self._segments)
+
+    def pull(self, mask: int) -> Optional[int]:
+        """The set of the previous level that lifts to ``mask``, or None: each run
+        is ``(f << length) - f`` (no carries), ``f`` its bits at the rows' starts."""
+        out = 0
+        for _, start, count, length, _, _, repunit, _, worlds in self._segments:
+            chunk = mask >> start & ((1 << count * length) - 1)
+            if ((f := chunk & repunit) << length) - f != chunk:
+                return None
+            out |= mask_of(compress(worlds, _gather(f, count, length)))
         return out
 
     def transpose(self, mask: int) -> int:
@@ -286,6 +303,24 @@ def _spread(bits: int, count: int, length: int) -> int:
     return int.from_bytes(b"".join(map(table.__getitem__,
                                        bits.to_bytes((count + 7) // 8, "little"))),
                           "little")
+
+
+def _filled(rows, s: str, count: int, length: int) -> int:
+    """``count`` rows of ``length`` bits, all ones where ``rows`` reads a 1 off ``s``."""
+    firsts = _spread(int("".join(rows(s))[::-1], 2), count, length)
+    return (firsts << length) - firsts
+
+
+def _gather(bits: int, count: int, length: int) -> bytearray:
+    """The inverse of ``_spread``, one ``compress`` selector per row: rows ``r``,
+    ``r + period``, ... start at one bit of bytes one stride apart in ``bits``."""
+    data, out = bits.to_bytes((count * length + 7) // 8, "little"), bytearray(count)
+    period = 8 // math.gcd(length, 8)
+    for r in range(period):
+        j = r * length
+        out[r::period] = data[j >> 3::period * length >> 3][
+            :len(out[r::period])].translate(_BIT_AT[j & 7])
+    return out
 
 
 def build_level(index: int, prev_width: int, blocks) -> Level:

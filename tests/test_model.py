@@ -622,3 +622,73 @@ def test_lift_onto_own_level_returns_the_set():
         if n:
             with pytest.raises(ModelError):
                 s.lift(x, n - 1)
+
+
+# --- sets lifted and pulled by runs of rows --------------------------------
+
+
+_LADDERS = pytest.mark.parametrize(
+    "build", [_depth_four_ladder, _case_zero_ladder, _interleaved_ladder],
+    ids=["depth-four", "case-zero", "interleaved"])
+
+
+def _on_both_paths(monkeypatch, s, call):
+    # call with every level moved bit by bit, then with every level by runs
+    out = []
+    for narrow in (s.width(s.top), 0):
+        monkeypatch.setattr(model, "NARROW_WIDTH", narrow)
+        out.append(call())
+    return out
+
+
+@_LADDERS
+def test_lift_and_pull_by_runs_match_the_bit_loops(build, monkeypatch):
+    s = build()
+    rng = random.Random(37)
+    for n in range(1, s.num_levels):
+        below, width = s.width(n - 1), s.width(n)
+        for mask in [0, (1 << below) - 1, 1 << rng.randrange(below),
+                     rng.getrandbits(below), rng.getrandbits(below)]:
+            bits, runs = _on_both_paths(monkeypatch, s, lambda: s._mu_mask(mask, n - 1))
+            assert bits == runs, (n, mask)
+            # pull after lift is the identity
+            assert _on_both_paths(monkeypatch, s, lambda: s._pull_once(runs, n)) \
+                == [mask, mask], n
+        for mask in [0, (1 << width) - 1, 1 << rng.randrange(width),
+                     rng.getrandbits(width), rng.getrandbits(width)]:
+            bits, runs = _on_both_paths(monkeypatch, s, lambda: s._pull_once(mask, n))
+            assert bits == runs, (n, mask)
+
+
+@_LADDERS
+def test_a_lift_with_one_bit_flipped_has_no_preimage(build, monkeypatch):
+    s = build()
+    rng = random.Random(41)
+    for n in range(1, s.num_levels):
+        lvl = s.level(n)
+        lifted = s._mu_mask(rng.getrandbits(s.width(n - 1)), n - 1)
+        # every bit of a row longer than one, sampled on the widest level
+        flips = [i for x in lvl.rows if len(lvl.where[x][2]) > 1 for i in range(*lvl.runs[x])]
+        for i in rng.sample(flips, min(len(flips), 400)):
+            assert _on_both_paths(monkeypatch, s,
+                                  lambda: s._pull_once(lifted ^ 1 << i, n)) == [None, None]
+
+
+@_LADDERS
+def test_lowest_and_image_test_agree_on_both_paths(build, monkeypatch):
+    s = build()
+    rng = random.Random(43)
+    top, b = s.top, s.from_indices(0, [1])
+    # lifts from every level, each step's conditional value and a random set
+    sets = [s.lift(PropSet(n, rng.getrandbits(s.width(n)), s.width(n)), top)
+            for n in range(s.num_levels)]
+    sets += [s.lift(s.f_eval(b, PropSet(ev.level, ev.event, s.width(ev.level))), top)
+             for ev in s.history]
+    sets.append(PropSet(top, rng.getrandbits(s.width(top)), s.width(top)))
+    for x in sets:
+        bits, runs = _on_both_paths(monkeypatch, s, lambda: s._lowest(x.mask, top))
+        assert bits == runs
+        for src in range(top + 1):
+            bits, runs = _on_both_paths(monkeypatch, s, lambda: s.image_test(x, src))
+            assert bits == runs
+            assert (runs is not None) == (src >= s._lowest(x.mask, top)[0])

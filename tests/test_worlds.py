@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from dmbl.model import DegenerateEventError, ModelState
-from dmbl.worlds import (LevelMismatchError, PropSet, WorldsError,
-                         bit_indices, build_level)
+from dmbl.worlds import (LevelMismatchError, PropSet, WorldsError, _gather,
+                         _spread, bit_indices, build_level)
 
 from oracle import drive_from_state, to_set
 
@@ -276,3 +276,18 @@ def test_index_text_matches_joined_indices(width):
     masks.append(sum((1 << e) - (1 << s) for s, e in zip(cuts[::2], cuts[1::2])))
     for m in masks:
         assert PropSet(0, m, width).index_text() == ",".join(map(str, bit_indices(m)))
+
+
+@pytest.mark.parametrize("length", [1, 2, 3, 4, 5, 6, 7, 8, 12, 64, 320])
+def test_gather_inverts_spread(length):
+    # row starts at every offset inside a byte, runs shorter and longer than
+    # the phase of those offsets
+    rng = random.Random(length)
+    for count in [1, 2, 7, 8, 9, 17, 64]:
+        for bits in [0, (1 << count) - 1, 1 << (count - 1), rng.getrandbits(count)]:
+            spread = _spread(bits, count, length)
+            assert _gather(spread, count, length) == bytes(
+                bits >> i & 1 for i in range(count)), (count, bits)
+            # other bits of each row are not read
+            assert _gather((spread << length) - spread, count, length) == \
+                _gather(spread, count, length)
