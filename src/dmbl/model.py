@@ -273,9 +273,9 @@ class ModelState:
         nxt = self._levels[level + 1]
         if nxt.width > NARROW_WIDTH:
             return nxt.lift(mask) if mask else 0
-        out = 0
+        out, runs = 0, nxt.runs
         for p in bit_indices(mask):
-            s, e = nxt.runs[p]
+            s, e = runs[p]
             out |= ((1 << (e - s)) - 1) << s
         return out
 

@@ -146,8 +146,10 @@ class MeasureState:
         """Level ``n + 1`` over the stored level ``n``: its rows as ``(x, k)``
         in table order, where row ``x`` pairs with half ``k`` (half ``2b``
         holds block ``b``'s Pi weights, half ``2b + 1`` its Gamma weights),
-        the halves' weights, the level scale and each half's factor.
-        Memoized per level: repeated reads of one level share it."""
+        the halves' weights, the level scale and each half's factor.  The
+        rows come off the level's runs of rows when it is wider than
+        ``NARROW_WIDTH``, else off its per-world tables, so neither level
+        builds the other's.  Memoized per level: repeated reads share it."""
         if n in self._steps:
             return self._steps[n]
         if n >= state.top:
@@ -162,8 +164,11 @@ class MeasureState:
                 "base measure (use the perturbation limit instead)")
         scale, factors = self._scale(sums)
         # a Pi row pairs with its Gamma half and divides by its sum
-        where = lvl.where
-        rows = [(x, 2 * where[x][1] + where[x][0]) for x in lvl.rows]
+        if lvl.width > NARROW_WIDTH:
+            rows = [(x, k) for *_, k, worlds in lvl._segments for x in worlds]
+        else:
+            where = lvl.where
+            rows = [(x, 2 * where[x][1] + where[x][0]) for x in lvl.rows]
         self._steps[n] = rows, halves, scale, factors
         return self._steps[n]
 

@@ -5,9 +5,11 @@ by rows: row ``x`` holds the pairs ``(x, y)`` with ``y`` ascending over the
 other half of ``x``'s block.  The rows of the processed-event side (the
 blocks' Pi x Gamma parts) come first by ascending ``x``, then those of the
 complementary side (Gamma x Pi).  A set of worlds is a bitmask over that
-index space.  On a wide level the coordinate swap moves whole rows of its
-bit string, and lifts, pulls, conditionals and a measure's reads go by runs
-of a block half's consecutive rows.
+index space.  A level is built from its block masks: on a wide level, lifts,
+pulls, conditionals and a measure's reads go by runs of a block half's
+consecutive rows cut from them, and the coordinate swap moves whole rows.
+Narrow levels, case-0 steps, wide swaps and dumps read per-world tables,
+built on their first read.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ _BIT_AT = [bytes(v >> s & 1 for v in range(256)) for s in range(8)]
 
 # widest level transposed, lifted onto and pulled off bit by bit (a transpose:
 # 18 us against 46 us by rows at width 32, 108 against 69 at 384, median per
-# random mask after gc.collect()), read row by row, and given no run table
+# random mask after gc.collect()) and read off per-world tables, not runs of rows
 NARROW_WIDTH = 64
 
 
@@ -117,7 +119,8 @@ class PropSet:
 
     @property
     def is_full(self) -> bool:
-        return self.mask == self.full_mask
+        # no mask exceeds its width, and a popcount builds no full mask
+        return self.mask.bit_count() == self.width
 
     def cardinality(self) -> int:
         return self.mask.bit_count()
@@ -148,32 +151,60 @@ class PropSet:
         return bool(self.mask >> index & 1)
 
 
+class _OnRead(int):
+    """Table ``self`` of a level's ``_tables()``, which on the first read sets
+    all of them on the level, where later reads find them.  They are a pure
+    function of the frozen level: a concurrent first read builds them twice."""
+
+    def __get__(self, level, owner=None):
+        return level._tables()[self]
+
+
 @dataclass(frozen=True)
 class Level:
     """One constructed level, stored by rows (absent at level 0).
 
-    Per previous-level world ``x``: ``where[x] = (on_pi, block, partners,
+    ``blocks`` lists each block's (Pi, Gamma) members over the
+    ``prev_width`` worlds below and ``masks`` their bitmasks.  Worlds
+    ``[0, split)`` are the processed event's image.  Built on first read:
+    per previous-level world ``x``, ``where[x] = (on_pi, block, partners,
     pos)`` gives its side, its block, the other half of its block (row
     ``x``'s columns) and its position in its own half; ``runs[x]`` is row
-    ``x``'s index range, which realizes the inclusion morphism.  ``rows``
-    lists the rows in table order and ``blocks`` each block's (Pi, Gamma)
-    members.  Worlds ``[0, split)`` are the processed event's image.
-    ``pairs`` and ``block_of``, each world's (left, right) pair and block,
-    are built on demand for dumps and tests.
+    ``x``'s index range, which realizes the inclusion morphism; ``rows``
+    lists the rows in table order.  ``pairs`` and ``block_of``, each
+    world's (left, right) pair and block, serve dumps and tests.
     """
 
     index: int
     width: int
     split: Optional[int] = None
-    where: Optional[list] = None
-    runs: Optional[list] = None
-    rows: Optional[list] = None
+    prev_width: Optional[int] = None
     blocks: Optional[list] = None
+    masks: Optional[list] = None
 
     @property
     def event_image_mask(self) -> int:
         """Image of the processed event at this level: the Pi x Gamma part."""
         return (1 << self.split) - 1
+
+    def _tables(self) -> tuple:
+        n = self.prev_width
+        where, runs, rows, end = [None] * n, [None] * n, [], 0
+        for bi, (pi, ga) in enumerate(self.blocks):
+            for k, x in enumerate(pi):
+                where[x] = (True, bi, ga, k)
+            for k, x in enumerate(ga):
+                where[x] = (False, bi, pi, k)
+        for side in (True, False):
+            for x in range(n):
+                if where[x][0] is side:
+                    rows.append(x)
+                    runs[x] = (end, end := end + len(where[x][2]))
+        for name, table in (("where", where), ("runs", runs), ("rows", rows)):
+            object.__setattr__(self, name, table)
+        return where, runs, rows
+
+    where, runs, rows = map(_OnRead, range(3))
 
     @property
     def pairs(self) -> list:
@@ -189,22 +220,28 @@ class Level:
         # as (on_pi, first row's start, row count, row length, a reader of
         # the rows' bits below, a reader of their partners', the run's
         # repunit: a one at each row's start, the measure's index of the half
-        # they pair with, the rows' worlds).  This runs once per level of every
-        # new model, so a half whose rows span exactly its worlds (each half
-        # of a one-block level) is taken as one run without a pass over its rows
-        runs, out = self.runs, []
-        for b, (pi, ga) in enumerate(self.blocks):
-            for on_pi, half, partners in ((True, pi, ga), (False, ga, pi)):
-                length, read_partners = len(partners), itemgetter(*partners)
-                one_run = runs[half[-1]][1] - runs[half[0]][0] == len(half) * length
-                cuts = [] if one_run else [i for i in range(1, len(half))
-                                           if runs[half[i]][0] != runs[half[i - 1]][1]]
-                for a, e in zip([0] + cuts, cuts + [len(half)]):
-                    count = e - a
-                    out.append((on_pi, runs[half[a]][0], count, length,
-                                itemgetter(*half[a:e]), read_partners,
-                                _spread((1 << count) - 1, count, length),
-                                2 * b + on_pi, half[a:e]))
+        # they pair with, the rows' worlds), in table order.  A side's rows
+        # run over its worlds ascending, so a half's run ends at the side's
+        # next world outside it: a run of ones of the half or the side's gaps
+        out = []
+        for side, start in ((0, 0), (1, self.split)):
+            gaps, cut = functools.reduce(int.__xor__, (m[side] for m in self.masks),
+                                         (1 << self.prev_width) - 1), []
+            for b, (members, m) in enumerate(zip(self.blocks, self.masks)):
+                half, partners, rest, a = members[side], members[1 - side], m[side], 0
+                while rest:
+                    below = rest | gaps | ((rest & -rest) - 1)
+                    end = (below + 1) & ~below      # the run's first gap
+                    count = (rest & (end - 1)).bit_count()
+                    rest &= -end
+                    cut.append((half[a], count, len(partners), half[a:a + count],
+                                partners, 2 * b + 1 - side))
+                    a += count
+            for _, count, length, worlds, partners, k in sorted(cut, key=itemgetter(0)):
+                out.append((side == 0, start, count, length, itemgetter(*worlds),
+                            itemgetter(*partners), _spread((1 << count) - 1, count, length),
+                            k, worlds))
+                start += count * length
         return out
 
     def conditional(self, below: int, direct: bool) -> int:
@@ -218,7 +255,7 @@ class Level:
         partners, the same pattern on every row of its block half.  Each
         run of one half's consecutive rows is spread from those bits.
         """
-        s = bit_string(below, len(self.where))
+        s = bit_string(below, self.prev_width)
         out = 0
         for on_pi, start, count, length, rows, partners, repunit, _, _ in self._segments:
             out |= (_filled(rows, s, count, length) if on_pi == direct else
@@ -227,7 +264,7 @@ class Level:
 
     def lift(self, below: int) -> int:
         """The set ``below`` of the previous level embedded here, by runs."""
-        s = bit_string(below, len(self.where))
+        s = bit_string(below, self.prev_width)
         return sum(_filled(rows, s, count, length) << start
                    for _, start, count, length, rows, *_ in self._segments)
 
@@ -253,12 +290,12 @@ class Level:
         return self._transpose_rows(mask)
 
     def _transpose_bits(self, mask: int) -> int:
-        runs, rows = self.runs, self.rows
+        where, runs, rows = self.where, self.runs, self.rows
         out = k = 0
         for i in bit_indices(mask):
             while runs[rows[k]][1] <= i:
                 k += 1
-            _, _, partners, pos = self.where[rows[k]]
+            _, _, partners, pos = where[rows[k]]
             out |= 1 << (runs[partners[i - runs[rows[k]][0]]][0] + pos)
         return out
 
@@ -327,31 +364,19 @@ def build_level(index: int, prev_width: int, blocks) -> Level:
     """Assemble the next level from block masks ``[(pi, gamma), ...]``.
 
     The blocks must partition the event and its complement at the previous
-    level (disjoint Pi's, disjoint Gamma's, Pi's disjoint from Gamma's,
-    none empty).  Each previous-level world ``x`` lies in exactly one Pi or
-    one Gamma and becomes one row; the Pi rows by ascending ``x``, then the
-    Gamma rows, give the lexicographic table order of each side directly.
+    level (disjoint Pi's, disjoint Gamma's, Pi's disjoint from Gamma's, a
+    block's halves both empty or neither), checked on the masks.  Each
+    previous-level world ``x`` becomes one row; the Pi rows by ascending
+    ``x``, then the Gamma rows, give the lexicographic table order of each
+    side directly.  Tables and runs of rows are built when first read.
     """
-    where: list = [None] * prev_width
-    members: list = []
-    for bi, (pi, ga) in enumerate(blocks):
-        pi_idx = bit_indices(pi)
-        ga_idx = bit_indices(ga)
-        members.append((pi_idx, ga_idx))
-        for on_pi, half, partners in ((True, pi_idx, ga_idx),
-                                      (False, ga_idx, pi_idx)):
-            for k, x in enumerate(half):
-                if where[x] is not None:
-                    raise WorldsError(f"blocks list world {x} twice")
-                where[x] = (on_pi, bi, partners, k)
-    if not all(w and w[2] for w in where):
+    seen, split, members = 0, 0, []
+    for pi, ga in blocks:
+        if clash := pi & seen | ga & (seen | pi):
+            raise WorldsError(f"blocks list world {(clash & -clash).bit_length() - 1} twice")
+        seen |= pi | ga
+        members.append((bit_indices(pi), bit_indices(ga)))
+        split += len(members[-1][0]) * len(members[-1][1])
+    if seen != (1 << prev_width) - 1 or any(bool(p) != bool(g) for p, g in members):
         raise WorldsError("blocks do not cover the previous level")
-
-    pi_rows = [x for x in range(prev_width) if where[x][0]]
-    rows = pi_rows + [x for x in range(prev_width) if not where[x][0]]
-    runs: list = [None] * prev_width
-    end = 0
-    for x in rows:
-        runs[x] = (end, end + len(where[x][2]))
-        end = runs[x][1]
-    return Level(index, end, runs[pi_rows[-1]][1], where, runs, rows, members)
+    return Level(index, 2 * split, split, prev_width, members, list(blocks))

@@ -301,6 +301,11 @@ GOLDEN_REPORTS = [
     pytest.param(["prob", "p /\\ q", "--json"],
                  "627cb6be4120cd1df2cd9bba27d31daadf73b628e2b6daa48fa222fff61418d8",
                  id="prob-level-0"),
+    # the last step is case 0 with four blocks (ladder 4, 8, 32, 128); its
+    # pairs come off the per-world tables built on the dump's first read
+    pytest.param(["dump-model", "--step", "p", "--step", "q", "--step", "p", "--json"],
+                 "f1b8f46131763b32fbe61a4cd12d1c3d7b734607cf3ce72cccd9984e2a1e80b4",
+                 id="dump-model-case-zero"),
     # the canonical schedule, stepping through the default task list
     pytest.param(["eval", "(q|p)", "--schedule", "canonical", "--json"],
                  "8ec69ea0db907acd31104c7c60f631027f49efe4eafa1328e478c6ef8cea782e",

@@ -1,5 +1,6 @@
 import json
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
@@ -11,6 +12,7 @@ from dmbl.model import (CapExceededError, DegenerateEventError,
                         FrozenStateError, ModelError, ModelState, ScheduleError,
                         UndefinedConditionalError, default_task_list,
                         seed_task_list)
+from dmbl.probability import BaseMeasure, init_measure, prob
 from dmbl.worlds import PropSet
 
 from oracle import NotDefined, drive_from_state, to_set
@@ -527,6 +529,20 @@ def _depth_four_ladder():
     s = ModelState.from_atoms(["p", "q"])
     assign(s, parse("((((q|p)|q)|p /\\ q)|p \\/ q)"))
     return s
+
+
+def test_wide_levels_of_a_prob_read_build_no_per_world_tables():
+    # the two wide levels are built, lifted onto, pulled off, conditioned and
+    # weighed by runs of rows alone; the narrow ones by their tables alone
+    s = _depth_four_ladder()
+    m = init_measure(s, BaseMeasure.from_weights(
+        [Fraction(1, 2), Fraction(1, 4), Fraction(1, 8), Fraction(1, 8)]))
+    assert prob(s, m, parse("((((q|p)|q)|p /\\ q)|p \\/ q) <-> ((q|p)|q)")) == Fraction(2, 3)
+    for n, width in ((1, 8), (2, 32), (3, 384), (4, 40960)):
+        built = s.level(n).__dict__
+        assert s.width(n) == width
+        assert ("where" in built, "_segments" in built) == (
+            (True, False) if width <= model.NARROW_WIDTH else (False, True)), n
 
 
 def _case_zero_ladder():

@@ -210,18 +210,51 @@ def _random_blocks(rng, prev_width):
     return list(zip(pis, gas))
 
 
+def _segments_from_runs(runs, blocks):
+    # each block half cut into runs of rows wherever a row does not start
+    # where the one before it ends, in table order
+    out = []
+    for b, (pi, ga) in enumerate(blocks):
+        for on_pi, half, partners in ((True, pi, ga), (False, ga, pi)):
+            cuts = [i for i in range(1, len(half)) if runs[half[i]][0] != runs[half[i - 1]][1]]
+            for a, e in zip([0] + cuts, cuts + [len(half)]):
+                out.append((on_pi, runs[half[a]][0], e - a, len(partners),
+                            2 * b + on_pi, half[a:e]))
+    return sorted(out, key=lambda seg: seg[1])
+
+
+def _plain_segments(lvl, prev_width):
+    # a level's runs of rows without their readers, which are checked by
+    # reading every previous-level world once
+    worlds = list(range(prev_width))
+    out = []
+    for on_pi, start, count, length, rows, partners, repunit, k, members in lvl._segments:
+        assert rows(worlds) == (members[0] if count == 1 else tuple(members))
+        assert repunit == sum(1 << i * length for i in range(count))
+        out.append((on_pi, start, count, length, k, members))
+    return out
+
+
 @given(st.integers(min_value=0, max_value=5_000))
 def test_build_level_matches_sorted_reference(seed):
+    # previous widths past 64 give wide levels of several blocks, whose
+    # halves fall into several runs of rows
     rng = random.Random(seed)
-    prev_width = rng.randint(2, 9)
+    prev_width = rng.randint(2, rng.choice([9, 80]))
     blocks = _random_blocks(rng, prev_width)
     lvl = build_level(3, prev_width, blocks)
     want = _reference_level(prev_width, blocks)
     perm = want.pop("transpose_perm")
     assert lvl.index == 3 and lvl.width == len(want["pairs"])
+    # the runs of rows are cut from the block masks, before any table exists
+    segments = _plain_segments(lvl, prev_width)
+    assert "where" not in lvl.__dict__
+    assert segments == _segments_from_runs(want["runs"], lvl.blocks)
     for key, value in want.items():
         assert getattr(lvl, key) == value, key
-    for i, j in enumerate(perm):
+    assert [x for *_, members in segments for x in members] == lvl.rows
+    for i in rng.sample(range(lvl.width), min(lvl.width, 48)):
+        j = perm[i]
         assert lvl.transpose(1 << i) == 1 << j
         assert lvl._transpose_rows(1 << i) == lvl._transpose_bits(1 << i) == 1 << j
 
@@ -231,7 +264,7 @@ def test_transpose_matches_bitwise_reference(seed):
     # levels of several blocks, which no single fresh step builds, through
     # both the bit walk of narrow levels and the row pass of wide ones
     rng = random.Random(seed)
-    prev_width = rng.randint(2, 16)
+    prev_width = rng.randint(2, rng.choice([16, 80]))
     blocks = _random_blocks(rng, prev_width)
     lvl = build_level(1, prev_width, blocks)
     perm = _reference_level(prev_width, blocks)["transpose_perm"]
@@ -249,10 +282,26 @@ def test_build_level_rejects_bad_blocks():
         build_level(1, 4, [(0b0011, 0b0100)])
     with pytest.raises(WorldsError):          # empty Gamma leaves 0, 1 pairless
         build_level(1, 4, [(0b0011, 0), (0, 0b1100)])
-    with pytest.raises(WorldsError):          # world 0 in two Pi's
+    with pytest.raises(WorldsError, match="world 0 twice"):   # in two Pi's
         build_level(1, 4, [(0b0011, 0b0100), (0b0001, 0b1000)])
-    with pytest.raises(WorldsError):          # world 1 in a Pi and a Gamma
+    with pytest.raises(WorldsError, match="world 1 twice"):   # in a Pi and a Gamma
         build_level(1, 4, [(0b0011, 0b0100), (0b1000, 0b0010)])
+    with pytest.raises(WorldsError, match="world 3 twice"):   # the lower of 3 and 5
+        build_level(1, 8, [(0b0000_1100, 0b0011_0000), (0b0010_1000, 0b1100_0011)])
+    with pytest.raises(WorldsError):          # world 4 in a Pi, past the width
+        build_level(1, 4, [(0b10011, 0b0100)])
+    with pytest.raises(WorldsError):          # world 4 in a Gamma, past the width
+        build_level(1, 4, [(0b0011, 0b11100)])
+
+
+@pytest.mark.parametrize("width", [8, 384, 40960])
+def test_is_full_reads_the_popcount(width):
+    full = (1 << width) - 1
+    assert PropSet(0, full, width).is_full
+    for i in (0, width // 2, width - 1):
+        assert not PropSet(0, full ^ 1 << i, width).is_full
+    assert not PropSet(0, 0, width).is_full
+    assert PropSet(0, full, width).complement().is_empty
 
 
 @pytest.mark.parametrize("width", [8, 384, 40960])
