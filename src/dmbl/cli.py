@@ -1,8 +1,8 @@
 """Batch command-line front end.
 
 Exit codes: 0 for success or a true verdict, 1 for a false verdict, 2 for
-any error (bad flags, parse failures, resource caps).  ``--json`` switches
-every report to a stable JSON rendering.
+any error (bad flags, parse failures, resource caps, running out of
+memory).  ``--json`` switches every report to a stable JSON rendering.
 """
 
 from __future__ import annotations
@@ -276,8 +276,8 @@ def cmd_dump_model(cfg, args) -> int:
         f = _parse_formula(text, state)
         v = assign(state, f)
         state.step(v.value)
-    report = state.to_json()
-    _emit(cfg, report, [json.dumps(report, indent=2, sort_keys=False)])
+    # the text report is the JSON report
+    print(json.dumps(state.to_json(), indent=2))
     return 0
 
 
@@ -345,7 +345,7 @@ COMMANDS = [
 # first match wins: MeasureError and EvaluationError are ModelErrors
 ERRORS = [(_UsageError, "usage"), (FormulaError, "parse"), (ConfigError, "config"),
           (MeasureError, "measure"), (ProofError, "proof"), (ModelError, "model"),
-          (OSError, "io")]
+          (OSError, "io"), (MemoryError, "memory")]
 _CAUGHT = tuple(cls for cls, _ in ERRORS)
 
 
@@ -377,7 +377,7 @@ def main(argv=None) -> int:
         return args.func(_make_config(args), args)
     except _CAUGHT as exc:
         prefix = next(p for cls, p in ERRORS if isinstance(exc, cls))
-        print(f"{prefix} error: {exc}", file=sys.stderr)
+        print(f"{prefix} error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
 
 

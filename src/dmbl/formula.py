@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import islice
 
 
 class FormulaError(Exception):
@@ -204,39 +205,29 @@ def is_box_free(f: Formula) -> bool:
 
 # --- parsing ---------------------------------------------------------------
 
-_TOKEN_RE = re.compile(
-    r"""(?P<ws>\s+)
-      | (?P<iff><->)
-      | (?P<imp>->)
-      | (?P<dia><>)
-      | (?P<box>\[\])
-      | (?P<and>/\\)
-      | (?P<or>\\/)
-      | (?P<not>~)
-      | (?P<star>\*)
-      | (?P<bar>\|)
-      | (?P<lp>\()
-      | (?P<rp>\))
-      | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
-    """,
-    re.VERBOSE,
-)
+# One match per token and the whitespace after it: a connective, a
+# parenthesis, the bar or an identifier in the group, or any other
+# character, which leaves the group empty.  Scans start past leading
+# whitespace, so no character is skipped by a failed match.
+_TOKEN_RE = re.compile(r"(?:(<->|->|<>|\[\]|/\\|\\/|[~*|()]|[A-Za-z_][A-Za-z0-9_]*)|\S)\s*")
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
 
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", pos)
-        kind = m.lastgroup
-        if kind != "ws":
-            tokens.append((kind, m.group(), pos))
-        pos = m.end()
-    tokens.append(("end", "", len(text)))
+def _offset(text: str, i: int) -> int:
+    """Character offset of token ``i`` of ``text``, found only for an error."""
+    matches = _TOKEN_RE.finditer(text, len(text) - len(text.lstrip()))
+    m = next(islice(matches, i, None), None)
+    return len(text) if m is None else m.start()
+
+
+def _tokenize(text: str) -> list[str]:
+    """The tokens of ``text``, then ``""`` for the end of input."""
+    tokens = _TOKEN_RE.findall(text, len(text) - len(text.lstrip()))
+    if "" in tokens:
+        bad = _offset(text, tokens.index(""))
+        raise ParseError(f"unexpected character {text[bad]!r}", bad)
+    tokens.append("")
     return tokens
 
 
@@ -247,7 +238,9 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 # recursion limit.
 MAX_DEPTH = 100
 
-_PREFIX = {"not": Not, "box": Box, "dia": Diamond}
+_PREFIX = {"~": Not, "[]": Box, "<>": Diamond}
+# every token that is not an identifier, end of input included
+_SYMBOLS = frozenset(("<->", "->", "<>", "[]", "/\\", "\\/", "~", "*", "|", "(", ")", ""))
 
 
 class _Parser:
@@ -258,28 +251,25 @@ class _Parser:
         self.depth = 0
         self.atoms = frozenset(atoms) if atoms is not None else None
 
-    def peek(self):
-        return self.tokens[self.pos]
-
-    def take(self, kind: str, expected: tuple[str, ...]):
-        tok = self.tokens[self.pos]
-        if tok[0] != kind:
-            raise ParseError(f"unexpected token {tok[1] or 'end of input'!r}", tok[2], expected)
+    def take(self, tok: str, expected: tuple[str, ...]) -> None:
+        got = self.tokens[self.pos]
+        if got != tok:
+            raise ParseError(f"unexpected token {got or 'end of input'!r}",
+                             _offset(self.text, self.pos), expected)
         self.pos += 1
-        return tok
 
     def nest(self) -> None:
         """Consume the current token, opening one level of nesting."""
         self.depth += 1
         if self.depth > MAX_DEPTH:
             raise ParseError(f"formula nested deeper than {MAX_DEPTH} levels",
-                             self.peek()[2])
+                             _offset(self.text, self.pos))
         self.pos += 1
 
     def formula(self) -> Formula:
         depth = self.depth
         out = self.iff()
-        while self.peek()[0] == "star":
+        while self.tokens[self.pos] == "*":
             self.nest()
             out = Indep(out, self.iff())
         self.depth = depth
@@ -288,7 +278,7 @@ class _Parser:
     def iff(self) -> Formula:
         depth = self.depth
         out = self.imp()
-        while self.peek()[0] == "iff":
+        while self.tokens[self.pos] == "<->":
             self.nest()
             out = Iff(out, self.imp())
         self.depth = depth
@@ -296,7 +286,7 @@ class _Parser:
 
     def imp(self) -> Formula:
         left = self.disj()
-        if self.peek()[0] != "imp":
+        if self.tokens[self.pos] != "->":
             return left
         self.nest()
         out = Implies(left, self.imp())
@@ -306,7 +296,7 @@ class _Parser:
     def disj(self) -> Formula:
         depth = self.depth
         out = self.conj()
-        while self.peek()[0] == "or":
+        while self.tokens[self.pos] == "\\/":
             self.nest()
             out = Or(out, self.conj())
         self.depth = depth
@@ -315,14 +305,14 @@ class _Parser:
     def conj(self) -> Formula:
         depth = self.depth
         out = self.unary()
-        while self.peek()[0] == "and":
+        while self.tokens[self.pos] == "/\\":
             self.nest()
             out = And(out, self.unary())
         self.depth = depth
         return out
 
     def unary(self) -> Formula:
-        node = _PREFIX.get(self.peek()[0])
+        node = _PREFIX.get(self.tokens[self.pos])
         if node is None:
             return self.atom_expr()
         self.nest()
@@ -331,30 +321,30 @@ class _Parser:
         return out
 
     def atom_expr(self) -> Formula:
-        kind, value, offset = self.peek()
-        if kind == "ident":
+        tok = self.tokens[self.pos]
+        if tok not in _SYMBOLS:
             self.pos += 1
-            if value == "T":
+            if tok == "T":
                 return TOP
-            if value == "F":
+            if tok == "F":
                 return BOT
-            if self.atoms is not None and value not in self.atoms:
-                raise UnknownAtomError(value, offset)
-            return Atom(value)
-        if kind == "lp":
+            if self.atoms is not None and tok not in self.atoms:
+                raise UnknownAtomError(tok, _offset(self.text, self.pos - 1))
+            return Atom(tok)
+        if tok == "(":
             self.nest()
             out = self.formula()
-            if self.peek()[0] == "bar":
+            if self.tokens[self.pos] == "|":
                 self.pos += 1
                 out = Cond(out, self.formula())
-                self.take("rp", (")",))
+                self.take(")", (")",))
             else:
-                self.take("rp", (")", "|"))
+                self.take(")", (")", "|"))
             self.depth -= 1
             return out
         raise ParseError(
-            f"unexpected token {value or 'end of input'!r}",
-            offset,
+            f"unexpected token {tok or 'end of input'!r}",
+            _offset(self.text, self.pos),
             ("T", "F", "identifier", "(", "~", "[]", "<>"),
         )
 
@@ -367,9 +357,9 @@ def parse(text: str, atoms=None) -> Formula:
     """
     p = _Parser(text, atoms)
     out = p.formula()
-    tok = p.peek()
-    if tok[0] != "end":
-        raise ParseError(f"trailing input {tok[1]!r}", tok[2], ("end of input",))
+    tok = p.tokens[p.pos]
+    if tok:
+        raise ParseError(f"trailing input {tok!r}", _offset(text, p.pos), ("end of input",))
     return out
 
 

@@ -30,6 +30,7 @@ preimage one level down, and is expanded by that test when it is reached.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -157,15 +158,13 @@ class ModelState:
             width = 1 << k
             self._check_width([], width)
             self.atoms = atoms
-            self._labels = []
-            self._h0 = {a: 0 for a in atoms}
-            for i in range(width):
-                bits = tuple((i >> (k - 1 - j)) & 1 for j in range(k))
-                self._labels.append(
-                    " /\\ ".join(a if b else "~" + a for a, b in zip(atoms, bits)))
-                for j, b in enumerate(bits):
-                    if b:
-                        self._h0[atoms[j]] |= 1 << i
+            # world i makes atom j true when bit k - 1 - j of i is set: a
+            # block of h ones above h zeros, repeated with period 2h
+            repeat = (1 << width) - 1
+            self._h0 = {}
+            for j, a in enumerate(atoms):
+                h = 1 << (k - 1 - j)
+                self._h0[a] = (((1 << h) - 1) << h) * (repeat // ((1 << 2 * h) - 1))
         else:
             worlds = list(worlds)
             if not worlds or len(set(worlds)) != len(worlds):
@@ -236,6 +235,15 @@ class ModelState:
 
     def level(self, n: int) -> Level:
         return self._levels[n]
+
+    @functools.cached_property
+    def _labels(self) -> list[str]:
+        """An atom model's world labels, built on first read (a world-list
+        model sets them in ``__init__``)."""
+        k = len(self.atoms)
+        return [" /\\ ".join(a if i >> (k - 1 - j) & 1 else "~" + a
+                              for j, a in enumerate(self.atoms))
+                for i in range(1 << k)]
 
     @property
     def base_labels(self) -> list[str]:

@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from dmbl import __version__
+from dmbl import __version__, cli
 from dmbl.cli import MAX_EXPANSION, build_parser, main
 from dmbl.formula import expanded_size, parse
 from dmbl.model import default_task_list
@@ -54,6 +54,21 @@ def test_parse_error_exit_code_and_prefix(capsys):
     code, _, err = run(capsys, "parse", "p /\\ (")
     assert code == 2
     assert err.startswith("parse error:")
+
+
+def test_memory_error_is_one_line(capsys, monkeypatch):
+    def exhausted(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "prob", exhausted)
+    code, out, err = run(capsys, "prob", "(q|p)")
+    assert code == 2 and out == ""
+    assert err.startswith("memory error: ") and err.count("\n") == 1
+
+
+def test_dump_model_text_is_its_json(capsys):
+    argv = ("dump-model", "--step", "(q|p)")
+    assert run(capsys, *argv) == run(capsys, *argv, "--json")
 
 
 def test_unknown_atom_is_parse_error(capsys):
