@@ -80,7 +80,12 @@ def _parse_formula(text: str, state: ModelState):
 
 
 def _fraction_fields(x: Fraction) -> dict:
-    return {"rational": f"{x.numerator}/{x.denominator}", "decimal": float(x)}
+    try:
+        rational = f"{x.numerator}/{x.denominator}"
+    except ValueError:  # more digits than int-to-str conversion allows
+        raise MeasureError(f"exact result has a term of more than "
+                           f"{sys.get_int_max_str_digits()} digits") from None
+    return {"rational": rational, "decimal": float(x)}
 
 
 def cmd_parse(cfg, args) -> int:
@@ -195,8 +200,12 @@ def cmd_lewis_demo(cfg, args) -> int:
     # nonempty b strictly inside a nonempty proper a: 3^n - 3 * 2^n + 3
     count = 3 ** n - 3 * 2 ** n + 3
     if count > cfg.max_worlds:
+        try:
+            pairs = str(count)
+        except ValueError:  # more digits than int-to-str conversion allows
+            pairs = f"3^{n} - 3 * 2^{n} + 3"
         raise CapExceededError(f"lewis-demo would build one model per strict "
-                               f"pair: {count} pairs > cap {cfg.max_worlds}")
+                               f"pair: {pairs} pairs > cap {cfg.max_worlds}")
     cases = []
     all_good = True
     for a_mask in range(1, (1 << n) - 1):

@@ -9,13 +9,10 @@ complement orientation) becomes total over the new level via the closed
 form ``f(C, mu(b)) = (C & mu(b)) | (T(C) & ~mu(b))`` with ``T`` the
 coordinate swap.  ``T`` exchanges ``mu(b)``'s image with its complement,
 so the form is ``S | T(S)`` with ``S = C & mu(b)`` (``S = C & ~mu(b)``
-for the complement orientation).  When ``C`` lives below the defining
-level, ``S``'s rows are all ones or all zeros and ``T(S)`` repeats one
-pattern per block half, so on a level wider than ``NARROW_WIDTH`` the
-value is built row by row from ``C`` one level down
-(``Level.conditional``), as lifts by ``mu`` onto that level and pulls off
-it are.  ``T`` runs only on narrower levels or when ``C`` sits at or above
-the defining level.
+for the complement orientation).  The defining level builds the value
+(``Level.conditional`` from ``C`` one level below it, or
+``Level.conditional_here`` from ``C`` pulled to it) and picks how by its
+width, as it does for lifts by ``mu`` onto it and pulls off it.
 
 Processing the same event family again (case 0) refines the blocks from
 the level that first processed it; a fresh event (case 1) uses the single
@@ -34,8 +31,7 @@ import functools
 from dataclasses import dataclass
 from typing import Optional
 
-from .worlds import (NARROW_WIDTH, Level, PropSet, WorldsError, bit_indices,
-                     build_level, mask_of)
+from .worlds import Level, PropSet, WorldsError, bit_indices, build_level, mask_of
 
 
 CANONICAL_ENUM_WIDTH = 16   # widest level whose 2^width sets a task list may list
@@ -277,26 +273,13 @@ class ModelState:
 
     # --- morphism, transpose, image test ---------------------------------
 
-    def _mu_mask(self, mask: int, level: int) -> int:
-        nxt = self._levels[level + 1]
-        if nxt.width > NARROW_WIDTH:
-            return nxt.lift(mask) if mask else 0
-        out, runs = 0, nxt.runs
-        for p in bit_indices(mask):
-            s, e = runs[p]
-            out |= ((1 << (e - s)) - 1) << s
-        return out
-
     def mu(self, ps: PropSet) -> PropSet:
         """Embed a level-``n`` set into level ``n + 1``."""
-        if ps.level + 1 > self.top:
-            raise ModelError(f"level {ps.level + 1} not built yet")
-        return PropSet(ps.level + 1, self._mu_mask(ps.mask, ps.level),
-                       self.width(ps.level + 1))
+        return self.lift(ps, ps.level + 1)
 
     def _lift_mask(self, mask: int, level: int, target: int) -> int:
-        for n in range(level, target):
-            mask = self._mu_mask(mask, n)
+        for lvl in self._levels[level + 1:target + 1]:
+            mask = lvl.lift(mask)
         return mask
 
     def lift(self, ps: PropSet, target: int) -> PropSet:
@@ -316,20 +299,6 @@ class ModelState:
             raise ModelError("transpose is undefined at level 0")
         return PropSet(ps.level, self._levels[ps.level].transpose(ps.mask), ps.width)
 
-    def _pull_once(self, mask: int, level: int) -> Optional[int]:
-        # each parent's run must lie wholly inside or wholly outside the mask
-        if self._levels[level].width > NARROW_WIDTH:
-            return self._levels[level].pull(mask)
-        parents = 0
-        for p, (s, e) in enumerate(self._levels[level].runs):
-            ones = (1 << (e - s)) - 1
-            run = (mask >> s) & ones
-            if run == ones:
-                parents |= 1 << p
-            elif run:
-                return None
-        return parents
-
     def image_test(self, ps: PropSet, src_level: int) -> Optional[PropSet]:
         """The unique preimage of ``ps`` at ``src_level``, or None.
 
@@ -340,7 +309,7 @@ class ModelState:
             raise ModelError("source level above the set's level")
         mask = ps.mask
         for n in range(ps.level, src_level, -1):
-            mask = self._pull_once(mask, n)
+            mask = self._levels[n].pull(mask)
             if mask is None:
                 return None
         return PropSet(src_level, mask, self.width(src_level))
@@ -349,7 +318,7 @@ class ModelState:
 
     def _lowest(self, mask: int, level: int) -> tuple[int, int]:
         """The set's lowest preimage as ``(level, mask)``: pulled while it has one."""
-        while level and (pulled := self._pull_once(mask, level)) is not None:
+        while level and (pulled := self._levels[level].pull(mask)) is not None:
             mask, level = pulled, level - 1
         return level, mask
 
@@ -381,20 +350,14 @@ class ModelState:
         idx, direct = match
         base = self.history[idx].level + 1
         lvl = self._levels[base]
-        if b.level < base and lvl.width > NARROW_WIDTH:
-            # the closed form by rows, from the consequent one level below
-            value = PropSet(base, lvl.conditional(self.lift(b, base - 1).mask, direct),
-                            lvl.width)
+        if b.level < base:
+            value = lvl.conditional(self._lift_mask(b.mask, b.level, base - 1), direct)
         else:
-            pulled = self.lift(b, base) if b.level <= base else self.image_test(b, base)
+            pulled = b if b.level == base else self.image_test(b, base)
             if pulled is None:
                 return None
-            # T swaps the event image with its complement, so the closed form
-            # is S | T(S) with S the part of C on the conditioned side
-            ev = lvl.event_image_mask
-            side = PropSet(base, pulled.mask & (ev if direct else ~ev), pulled.width)
-            value = side | self.transpose(side)
-        return self.lift(value, max(base, b.level, a.level))
+            value = lvl.conditional_here(pulled.mask, direct)
+        return self.lift(PropSet(base, value, lvl.width), max(base, b.level, a.level))
 
     def is_defined(self, b: PropSet, a: PropSet) -> bool:
         """Whether ``f_eval(b, a)`` would succeed without a further step."""
@@ -458,12 +421,9 @@ class ModelState:
                         "task list drew the complement of a processed event")
                 b_mask ^= full    # re-process the prior orientation
             base = self.history[nu].level + 1
-            runs, where = self._levels[base].runs, self._levels[base].where
-            # a block per Pi x Gamma world (l, r) and its swap (r, l)
-            blocks = [(self._lift_mask(1 << w, base, n),
-                       self._lift_mask(1 << (runs[r][0] + where[l][3]), base, n))
-                      for l in self._levels[base].rows if where[l][0]
-                      for w, r in enumerate(where[l][2], runs[l][0])]
+            # a block per Pi x Gamma world and its swap
+            blocks = [(self._lift_mask(1 << w, base, n), self._lift_mask(1 << t, base, n))
+                      for w, t in self._levels[base].swapped_pairs()]
             case, lowest = 0, self.history[nu].lowest
 
         self._check_width([lvl.width for lvl in self._levels],
@@ -527,7 +487,7 @@ class ModelState:
                 f"canonical task list would enumerate 2^{width} sets "
                 f"(cap 2^{CANONICAL_ENUM_WIDTH})")
         return [(m, level) for rep, comp in canonical_pairs(width)
-                if self._pull_once(rep, level) is None for m in (rep, comp)]
+                if self._levels[level].pull(rep) is None for m in (rep, comp)]
 
     def _canonical_push(self, n: int) -> None:
         new = n + 1

@@ -10,10 +10,10 @@ denominator, so the extension runs on plain ``int`` products and sums and
 ``Fraction`` appears only where weights enter and leave.  A query extends
 the stored levels only up to the one below its set's level and reads the
 set's mass off it by rows: row ``x`` adds ``w[x]`` times its partners'
-weights in the set, scaled once per block half.  A wide level is read by
-runs of a half's consecutive rows, and a rank-one run, as every run of a
-conditional's value ``S | T(S)`` is, costs one product.  Narrow levels
-and other runs walk their rows, one product per distinct row pattern.
+weights in the set, scaled once per block half.  The set's level groups
+its rows by pattern (``Level.row_groups``), so each group costs one
+product: on a wide level, a rank-one run of rows, as every run of a
+conditional's value ``S | T(S)`` is, makes one group.
 A base measure with zeros is read through ``limit_prob``: the same
 extension runs over leading terms ``(order, coeff)`` in a vanishing uniform
 perturbation eps, where products add orders, sums keep the lowest order,
@@ -33,9 +33,7 @@ from typing import NamedTuple
 from .evaluator import _eval
 from .formula import And, Cond, Formula
 from .model import ModelError, ModelState
-from .worlds import NARROW_WIDTH, _gather, bit_indices, bit_string
-
-_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
+from .worlds import bit_indices
 
 
 class MeasureError(ModelError):
@@ -143,13 +141,9 @@ class MeasureState:
         return scale, [scale // s for s in sums]
 
     def _step(self, state: ModelState, n: int) -> tuple:
-        """Level ``n + 1`` over the stored level ``n``: its rows as ``(x, k)``
-        in table order, where row ``x`` pairs with half ``k`` (half ``2b``
-        holds block ``b``'s Pi weights, half ``2b + 1`` its Gamma weights),
-        the halves' weights, the level scale and each half's factor.  The
-        rows come off the level's runs of rows when it is wider than
-        ``NARROW_WIDTH``, else off its per-world tables, so neither level
-        builds the other's.  Memoized per level: repeated reads share it."""
+        """Level ``n + 1`` over the stored level ``n``: its halves' weights,
+        numbered as in ``Level.row_halves``, the level scale and each half's
+        factor.  Memoized per level: repeated reads share it."""
         if n in self._steps:
             return self._steps[n]
         if n >= state.top:
@@ -162,24 +156,18 @@ class MeasureState:
             raise MeasureError(
                 "zero-weight block: extension needs a strictly positive "
                 "base measure (use the perturbation limit instead)")
-        scale, factors = self._scale(sums)
-        # a Pi row pairs with its Gamma half and divides by its sum
-        if lvl.width > NARROW_WIDTH:
-            rows = [(x, k) for *_, k, worlds in lvl._segments for x in worlds]
-        else:
-            where = lvl.where
-            rows = [(x, 2 * where[x][1] + where[x][0]) for x in lvl.rows]
-        self._steps[n] = rows, halves, scale, factors
+        self._steps[n] = (halves, *self._scale(sums))
         return self._steps[n]
 
     def _extend_one(self, state: ModelState) -> None:
         """Extend by one level, row by row: row ``x`` scales ``w[x]`` by its
         half's factor once and multiplies that into its partners' weights."""
         n = self.extended_through()
-        rows, halves, scale, factors = self._step(state, n)
+        halves, scale, factors = self._step(state, n)
         w = self._levels[n]
         out: list = []
-        for x, k in rows:
+        # a Pi row pairs with its Gamma half and divides by its sum
+        for x, k in state.level(n + 1).row_halves:
             out += map((w[x] * factors[k]).__mul__, halves[k])
         self._levels.append(out)
         self._denoms.append(self._denoms[n] * scale)
@@ -189,74 +177,26 @@ class MeasureState:
 
         Level 0 sums its stored weights.  Above it, each row meeting the
         set adds ``w[x]`` times its partners' weights in the set, and each
-        half's total is scaled by the half's factor once.  Levels wider than
-        ``NARROW_WIDTH`` are read by runs of rows (``_run_parts``), others
-        row by row, one product per distinct row pattern (``_row_parts``).
+        half's total is scaled by the half's factor once.  The rows come in
+        groups that read one pattern (``Level.row_groups``): a group adds
+        its rows' weights times the pattern's, one product.
         """
         n = value.level
         if n == 0:
             w = self._levels[0]
             return sum(w[i] for i in bit_indices(value.mask)), self._denoms[0]
         self.extend_to(state, n - 1)
-        rows, halves, scale, factors = self._step(state, n - 1)
+        halves, scale, factors = self._step(state, n - 1)
         w = self._levels[n - 1]
-        parts = (_row_parts(rows, halves, w, _flags(value.mask, value.width))
-                 if value.width <= NARROW_WIDTH else
-                 _run_parts(state.level(n), halves, w, value.mask))
         totals = [0] * len(halves)
-        for k, weight, part in parts:
-            totals[k] += weight * part
+        for (k, pattern), rows in state.level(n).row_groups(value.mask):
+            if part := sum(compress(halves[k], pattern)):
+                totals[k] += sum(map(w.__getitem__, rows)) * part
         mass = sum(f * t for f, t in zip(factors, totals) if t)
         return mass, self._denoms[n - 1] * scale
 
     def weight_of(self, state: ModelState, value) -> Fraction:
         return Fraction(*self._mass(state, value))
-
-
-def _run_parts(level, halves, w, mask):
-    """``_row_parts`` by the runs of ``level._segments``.  A run whose nonzero
-    rows all equal ``row``, the row of its lowest set bit, is ``firsts * row``
-    with ``firsts`` its bits in that bit's column (no carries): one part, the
-    ``w[x]`` of the rows ``firsts`` marks times ``row``'s weights in half
-    ``k``.  Other runs walk their rows."""
-    for _, start, count, length, _, _, repunit, k, worlds in level._segments:
-        chunk = mask >> start & ((1 << count * length) - 1)
-        if not chunk:
-            continue
-        low = (chunk & -chunk).bit_length() - 1
-        firsts = chunk >> low % length & repunit
-        row = chunk >> (low - low % length) & ((1 << length) - 1)
-        if firsts * row == chunk:
-            sel = _gather(firsts, count, length)
-            yield (k, sum(compress(map(w.__getitem__, worlds), sel)),
-                   sum(compress(halves[k], _flags(row, length))))
-        else:
-            yield from _row_parts([(x, k) for x in worlds], halves, w,
-                                  _flags(chunk, count * length))
-
-
-def _flags(mask: int, width: int) -> bytes:
-    """``mask``'s bits as ``compress`` selectors, bit 0 first."""
-    return bit_string(mask, width).encode().translate(_FLAGS)
-
-
-def _row_parts(rows, halves, w, flags):
-    """``(k, weight, part)`` for each distinct row pattern of the set whose
-    bits ``flags`` holds in the order of ``rows``: ``part`` sums the weights
-    in half ``k`` at the pattern's worlds and ``weight`` sums ``w[x]`` over
-    the rows ``x`` that carry it, one slice of ``flags`` per row.  The key
-    needs ``k``: halves of one length can share a slice but not weights."""
-    weights: dict = {}
-    start = 0
-    for x, k in rows:
-        end = start + len(halves[k])
-        key = k, flags[start:end]
-        weights[key] = weights.get(key, 0) + w[x]
-        start = end
-    for (k, sel), weight in weights.items():
-        part = sum(compress(halves[k], sel))
-        if part:
-            yield k, weight, part
 
 
 class _LeadingMeasure(MeasureState):

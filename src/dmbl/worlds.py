@@ -5,11 +5,9 @@ by rows: row ``x`` holds the pairs ``(x, y)`` with ``y`` ascending over the
 other half of ``x``'s block.  The rows of the processed-event side (the
 blocks' Pi x Gamma parts) come first by ascending ``x``, then those of the
 complementary side (Gamma x Pi).  A set of worlds is a bitmask over that
-index space.  A level is built from its block masks: on a wide level, lifts,
-pulls, conditionals and a measure's reads go by runs of a block half's
-consecutive rows cut from them, and the coordinate swap moves whole rows.
-Narrow levels, case-0 steps, wide swaps and dumps read per-world tables,
-built on their first read.
+index space.  ``Level`` alone reads that layout and picks, by its width,
+how each operation on it runs: lifts by ``mu``, pulls, the coordinate swap,
+a conditional's value and the rows a measure weighs a set by.
 """
 
 from __future__ import annotations
@@ -32,6 +30,7 @@ class LevelMismatchError(WorldsError):
 
 _BYTE_BITS = [tuple(b for b in range(8) if (v >> b) & 1) for v in range(256)]
 _BIT_AT = [bytes(v >> s & 1 for v in range(256)) for s in range(8)]
+_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
 
 # widest level transposed, lifted onto and pulled off bit by bit (a transpose:
 # 18 us against 46 us by rows at width 32, 108 against 69 at 384, median per
@@ -151,28 +150,18 @@ class PropSet:
         return bool(self.mask >> index & 1)
 
 
-class _OnRead(int):
-    """Table ``self`` of a level's ``_tables()``, which on the first read sets
-    all of them on the level, where later reads find them.  They are a pure
-    function of the frozen level: a concurrent first read builds them twice."""
-
-    def __get__(self, level, owner=None):
-        return level._tables()[self]
-
-
 @dataclass(frozen=True)
 class Level:
     """One constructed level, stored by rows (absent at level 0).
 
     ``blocks`` lists each block's (Pi, Gamma) members over the
     ``prev_width`` worlds below and ``masks`` their bitmasks.  Worlds
-    ``[0, split)`` are the processed event's image.  Built on first read:
-    per previous-level world ``x``, ``where[x] = (on_pi, block, partners,
-    pos)`` gives its side, its block, the other half of its block (row
-    ``x``'s columns) and its position in its own half; ``runs[x]`` is row
-    ``x``'s index range, which realizes the inclusion morphism; ``rows``
-    lists the rows in table order.  ``pairs`` and ``block_of``, each
-    world's (left, right) pair and block, serve dumps and tests.
+    ``[0, split)`` are the processed event's image.  The width picks how
+    the methods read the rows: up to ``NARROW_WIDTH`` worlds bit by bit
+    through per-world tables (``_tables``), wider by runs of a block half's
+    consecutive rows (``_segments``).  Each is built on its first read.
+    ``pairs`` and ``block_of``, each world's (left, right) pair and block,
+    serve dumps and tests.
     """
 
     index: int
@@ -187,7 +176,14 @@ class Level:
         """Image of the processed event at this level: the Pi x Gamma part."""
         return (1 << self.split) - 1
 
+    @functools.cached_property
     def _tables(self) -> tuple:
+        # (where, runs, rows): per previous-level world x, where[x] = (on_pi,
+        # block, partners, pos) gives its side, its block, the other half of
+        # its block (row x's columns) and its position in its own half;
+        # runs[x] is row x's index range, which realizes the inclusion
+        # morphism; rows lists the rows in table order.  A pure function of
+        # the frozen level: two first reads at once store equal tables
         n = self.prev_width
         where, runs, rows, end = [None] * n, [None] * n, [], 0
         for bi, (pi, ga) in enumerate(self.blocks):
@@ -200,19 +196,17 @@ class Level:
                 if where[x][0] is side:
                     rows.append(x)
                     runs[x] = (end, end := end + len(where[x][2]))
-        for name, table in (("where", where), ("runs", runs), ("rows", rows)):
-            object.__setattr__(self, name, table)
         return where, runs, rows
-
-    where, runs, rows = map(_OnRead, range(3))
 
     @property
     def pairs(self) -> list:
-        return [(x, y) for x in self.rows for y in self.where[x][2]]
+        where, _, rows = self._tables
+        return [(x, y) for x in rows for y in where[x][2]]
 
     @property
     def block_of(self) -> list:
-        return [self.where[x][1] for x in self.rows for _ in self.where[x][2]]
+        where, _, rows = self._tables
+        return [where[x][1] for x in rows for _ in where[x][2]]
 
     @functools.cached_property
     def _segments(self) -> list:
@@ -244,17 +238,57 @@ class Level:
                 start += count * length
         return out
 
+    @functools.cached_property
+    def row_halves(self) -> list:
+        """Each row as ``(x, k)`` in table order: row ``x`` pairs with half
+        ``k`` of the previous level, half ``2b`` being block ``b``'s Pi and
+        half ``2b + 1`` its Gamma."""
+        if self.width > NARROW_WIDTH:
+            return [(x, k) for *_, k, worlds in self._segments for x in worlds]
+        where, _, rows = self._tables
+        return [(x, 2 * where[x][1] + where[x][0]) for x in rows]
+
+    def row_groups(self, mask: int):
+        """The set ``mask`` as groups ``((k, pattern), rows)``: the worlds
+        ``rows`` below, pairing with half ``k``, whose rows all read
+        ``pattern``, a ``compress`` selector over that half.  A narrow level
+        groups all rows by (half, pattern).  A wide one reads a run at a
+        time: a run whose nonzero rows all equal ``row``, the row of its
+        lowest set bit, is ``firsts * row`` with ``firsts`` its bits in that
+        bit's column (no carries), one group; other runs go row by row."""
+        lengths = [len(half) for block in self.blocks for half in block]
+        if self.width <= NARROW_WIDTH:
+            return _row_groups(self.row_halves, lengths, _flags(mask, self.width))
+        out = []
+        for _, start, count, length, _, _, repunit, k, worlds in self._segments:
+            chunk = mask >> start & ((1 << count * length) - 1)
+            if not chunk:
+                continue
+            low = (chunk & -chunk).bit_length() - 1
+            firsts = chunk >> low % length & repunit
+            row = chunk >> (low - low % length) & ((1 << length) - 1)
+            if firsts * row == chunk:
+                out.append(((k, _flags(row, length)),
+                            compress(worlds, _gather(firsts, count, length))))
+            else:
+                out += _row_groups([(x, k) for x in worlds], lengths,
+                                   _flags(chunk, count * length))
+        return out
+
     def conditional(self, below: int, direct: bool) -> int:
         """``S | T(S)`` with ``S`` the set ``below`` of the previous level
         lifted here and cut to one side: the Pi x Gamma rows when
         ``direct``, else the Gamma x Pi rows.
 
-        Built by rows, without lifting or transposing: a row on the cut
-        side is all ones when its world is in ``below`` and all zeros
-        otherwise, and a row on the other side reads ``below`` over its
-        partners, the same pattern on every row of its block half.  Each
-        run of one half's consecutive rows is spread from those bits.
+        A narrow level lifts and calls ``conditional_here``.  A wide one
+        builds it by rows: a row on the cut side is all ones when its world
+        is in ``below`` and all zeros otherwise, and a row on the other side
+        reads ``below`` over its partners, the same pattern on every row of
+        its block half.  Each run of a half's consecutive rows is spread
+        from those bits.
         """
+        if self.width <= NARROW_WIDTH:
+            return self.conditional_here(self.lift(below), direct)
         s = bit_string(below, self.prev_width)
         out = 0
         for on_pi, start, count, length, rows, partners, repunit, _, _ in self._segments:
@@ -262,15 +296,44 @@ class Level:
                     repunit * int("".join(partners(s))[::-1], 2)) << start
         return out
 
+    def conditional_here(self, mask: int, direct: bool) -> int:
+        """``S | T(S)`` with ``S`` the set ``mask`` of this level cut to one
+        side, as in ``conditional``: ``T`` swaps the event image with its
+        complement."""
+        image = self.event_image_mask
+        side = mask & (image if direct else ~image)
+        return side | self.transpose(side)
+
     def lift(self, below: int) -> int:
-        """The set ``below`` of the previous level embedded here, by runs."""
+        """The set ``below`` of the previous level embedded here: each of its
+        worlds fills its row.  A wide level spreads a run of rows at once."""
+        if self.width <= NARROW_WIDTH:
+            out, runs = 0, self._tables[1]
+            for p in bit_indices(below):
+                s, e = runs[p]
+                out |= ((1 << (e - s)) - 1) << s
+            return out
+        if not below:
+            return 0
         s = bit_string(below, self.prev_width)
         return sum(_filled(rows, s, count, length) << start
                    for _, start, count, length, rows, *_ in self._segments)
 
     def pull(self, mask: int) -> Optional[int]:
-        """The set of the previous level that lifts to ``mask``, or None: each run
-        is ``(f << length) - f`` (no carries), ``f`` its bits at the rows' starts."""
+        """The set of the previous level that lifts to ``mask``, or None: each
+        row must lie wholly inside or wholly outside ``mask``.  A wide level
+        checks a run at a time, as ``(f << length) - f`` (no carries), ``f``
+        its bits at the rows' starts."""
+        if self.width <= NARROW_WIDTH:
+            parents = 0
+            for p, (s, e) in enumerate(self._tables[1]):
+                ones = (1 << (e - s)) - 1
+                run = (mask >> s) & ones
+                if run == ones:
+                    parents |= 1 << p
+                elif run:
+                    return None
+            return parents
         out = 0
         for _, start, count, length, _, _, repunit, _, worlds in self._segments:
             chunk = mask >> start & ((1 << count * length) - 1)
@@ -278,6 +341,13 @@ class Level:
                 return None
             out |= mask_of(compress(worlds, _gather(f, count, length)))
         return out
+
+    def swapped_pairs(self) -> list:
+        """Each Pi x Gamma world's index with its swapped world's, in table order."""
+        where, runs, rows = self._tables
+        return [(w, runs[r][0] + where[l][3])
+                for l in rows if where[l][0]
+                for w, r in enumerate(where[l][2], runs[l][0])]
 
     def transpose(self, mask: int) -> int:
         """Image of ``mask`` under the swap ``(x, y) -> (y, x)``.
@@ -290,7 +360,7 @@ class Level:
         return self._transpose_rows(mask)
 
     def _transpose_bits(self, mask: int) -> int:
-        where, runs, rows = self.where, self.runs, self.rows
+        where, runs, rows = self._tables
         out = k = 0
         for i in bit_indices(mask):
             while runs[rows[k]][1] <= i:
@@ -303,14 +373,14 @@ class Level:
         # a half's rows form a row-major matrix whose column j is the
         # swapped row of the other half's j-th member
         s = bit_string(mask, self.width)
-        runs = self.runs
+        _, runs, rows = self._tables
         swapped: dict = {}
         for pi, ga in self.blocks:
             for half, other in ((ga, pi), (pi, ga)):
                 m = "".join([s[a:e] for a, e in map(runs.__getitem__, half)])
                 n = len(other)
                 swapped.update(zip(other, [m[j::n] for j in range(n)]))
-        return int("".join(map(swapped.__getitem__, self.rows))[::-1], 2)
+        return int("".join(map(swapped.__getitem__, rows))[::-1], 2)
 
 
 def bit_string(mask: int, width: int) -> str:
@@ -358,6 +428,25 @@ def _gather(bits: int, count: int, length: int) -> bytearray:
         out[r::period] = data[j >> 3::period * length >> 3][
             :len(out[r::period])].translate(_BIT_AT[j & 7])
     return out
+
+
+def _flags(mask: int, width: int) -> bytes:
+    """``mask``'s bits as ``compress`` selectors, bit 0 first."""
+    return bit_string(mask, width).encode().translate(_FLAGS)
+
+
+def _row_groups(rows, lengths, flags):
+    """``((k, pattern), worlds)`` for each distinct (half, row pattern) of the
+    set whose bits ``flags`` holds in the order of ``rows``, pairs ``(x, k)``
+    whose row is ``lengths[k]`` bits: one slice of ``flags`` per row.  The
+    key needs ``k``: halves of one length can share a slice but not weights."""
+    groups: dict = {}
+    start = 0
+    for x, k in rows:
+        end = start + lengths[k]
+        groups.setdefault((k, flags[start:end]), []).append(x)
+        start = end
+    return groups.items()
 
 
 def build_level(index: int, prev_width: int, blocks) -> Level:

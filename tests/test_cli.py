@@ -1,5 +1,6 @@
 import hashlib
 import json
+import sys
 import time
 
 import pytest
@@ -199,6 +200,11 @@ def test_lewis_demo_pair_count_is_capped(capsys):
     assert "42850116 pairs > cap 200000" in err
     code, _, err = run(capsys, "lewis-demo", "--atoms", "a,b,c", "--max-worlds", "5795")
     assert code == 2 and "5796 pairs > cap 5795" in err
+    # 16384 base worlds: the count has more digits than str() converts
+    code, out, err = run(capsys, "lewis-demo", "--atoms", "a,b,c,d,e,f,g,h,i,j,k,l,m,n")
+    assert code == 2 and out == ""
+    assert err == ("model error: lewis-demo would build one model per strict pair: "
+                   "3^16384 - 3 * 2^16384 + 3 pairs > cap 200000\n")
 
 
 def test_b6_diag(capsys):
@@ -436,6 +442,23 @@ def test_config_measure_exponent_beyond_digit_bound_is_config_error(tmp_path, ca
     assert code == 2 and out == ""
     assert err.startswith("config error: bad rational") and len(err.splitlines()) == 1
     assert repr(key) in err and "exponent" in err
+
+
+@pytest.mark.parametrize("argv", [["prob", "((q|p)|q)"], ["bayes", "((q|p)|q)", "p"]],
+                         ids=["prob", "bayes"])
+@pytest.mark.parametrize("output", [[], ["--json"]], ids=["text", "json"])
+def test_exact_result_past_the_digit_limit_is_measure_error(tmp_path, capsys, argv, output):
+    # a 3001-digit denominator passes the config's bounds; the result's
+    # terms grow past the digits that str() converts
+    big = 10 ** 3000 + 7
+    cfg = tmp_path / "engine.json"
+    cfg.write_text(json.dumps({"measure": {
+        "p /\\ q": f"1/{big}", "p /\\ ~q": "1/3", "~p /\\ q": "1/3",
+        "~p /\\ ~q": f"{big - 3}/{3 * big}"}}))
+    code, out, err = run(capsys, *argv, "--config", str(cfg), *output)
+    assert code == 2 and out == ""
+    assert err == ("measure error: exact result has a term of more than "
+                   f"{sys.get_int_max_str_digits()} digits\n")
 
 
 @pytest.mark.parametrize("data", [

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from dmbl import model
+from dmbl import model, worlds
 from dmbl.evaluator import assign
 from dmbl.formula import parse
 from dmbl.model import (CapExceededError, DegenerateEventError,
@@ -478,7 +478,7 @@ def test_find_match_at_event_level_agrees_with_top(seed, canonical):
         full = (1 << s.width(n)) - 1
         sets = [rng.randrange(full + 1) for _ in range(4)]   # mostly no preimage
         if n:
-            sets.append(s._mu_mask(rng.randrange(1 << s.width(n - 1)), n - 1))
+            sets.append(s.level(n).lift(rng.randrange(1 << s.width(n - 1))))
         for ev in s.history[:n]:
             lifted = s._lift_mask(ev.event, ev.level, n)
             sets += [lifted, lifted ^ full]
@@ -492,7 +492,7 @@ def test_events_record_their_lowest_preimage(seed, canonical):
     for ev in s.history:
         level, mask = ev.lowest
         assert s._lift_mask(mask, level, ev.level) == ev.event
-        assert level == 0 or s._pull_once(mask, level) is None
+        assert level == 0 or s.level(level).pull(mask) is None
 
 
 @given(st.integers(min_value=0, max_value=3_000))
@@ -541,8 +541,8 @@ def test_wide_levels_of_a_prob_read_build_no_per_world_tables():
     for n, width in ((1, 8), (2, 32), (3, 384), (4, 40960)):
         built = s.level(n).__dict__
         assert s.width(n) == width
-        assert ("where" in built, "_segments" in built) == (
-            (True, False) if width <= model.NARROW_WIDTH else (False, True)), n
+        assert ("_tables" in built, "_segments" in built) == (
+            (True, False) if width <= worlds.NARROW_WIDTH else (False, True)), n
 
 
 def _case_zero_ladder():
@@ -574,7 +574,7 @@ def _by_definition(s, b, base, direct):
     return side | s.transpose(side)
 
 
-@pytest.mark.parametrize("narrow", [model.NARROW_WIDTH, 0],
+@pytest.mark.parametrize("narrow", [worlds.NARROW_WIDTH, 0],
                          ids=["as-shipped", "rows-everywhere"])
 @pytest.mark.parametrize("build,ladder", [
     (_depth_four_ladder, [4, 8, 32, 384, 40960]),
@@ -582,7 +582,7 @@ def _by_definition(s, b, base, direct):
     (_interleaved_ladder, [3, 4, 8, 24, 160]),
 ], ids=["depth-four", "case-zero", "interleaved"])
 def test_conditional_by_rows_matches_definition(build, ladder, narrow, monkeypatch):
-    monkeypatch.setattr(model, "NARROW_WIDTH", narrow)
+    monkeypatch.setattr(worlds, "NARROW_WIDTH", narrow)
     s = build()
     assert [s.width(n) for n in range(s.num_levels)] == ladder
     defining = {}   # the levels where f_eval reads a family, with its event
@@ -652,7 +652,7 @@ def _on_both_paths(monkeypatch, s, call):
     # call with every level moved bit by bit, then with every level by runs
     out = []
     for narrow in (s.width(s.top), 0):
-        monkeypatch.setattr(model, "NARROW_WIDTH", narrow)
+        monkeypatch.setattr(worlds, "NARROW_WIDTH", narrow)
         out.append(call())
     return out
 
@@ -662,17 +662,16 @@ def test_lift_and_pull_by_runs_match_the_bit_loops(build, monkeypatch):
     s = build()
     rng = random.Random(37)
     for n in range(1, s.num_levels):
-        below, width = s.width(n - 1), s.width(n)
+        lvl, below, width = s.level(n), s.width(n - 1), s.width(n)
         for mask in [0, (1 << below) - 1, 1 << rng.randrange(below),
                      rng.getrandbits(below), rng.getrandbits(below)]:
-            bits, runs = _on_both_paths(monkeypatch, s, lambda: s._mu_mask(mask, n - 1))
+            bits, runs = _on_both_paths(monkeypatch, s, lambda: lvl.lift(mask))
             assert bits == runs, (n, mask)
             # pull after lift is the identity
-            assert _on_both_paths(monkeypatch, s, lambda: s._pull_once(runs, n)) \
-                == [mask, mask], n
+            assert _on_both_paths(monkeypatch, s, lambda: lvl.pull(runs)) == [mask, mask], n
         for mask in [0, (1 << width) - 1, 1 << rng.randrange(width),
                      rng.getrandbits(width), rng.getrandbits(width)]:
-            bits, runs = _on_both_paths(monkeypatch, s, lambda: s._pull_once(mask, n))
+            bits, runs = _on_both_paths(monkeypatch, s, lambda: lvl.pull(mask))
             assert bits == runs, (n, mask)
 
 
@@ -682,12 +681,13 @@ def test_a_lift_with_one_bit_flipped_has_no_preimage(build, monkeypatch):
     rng = random.Random(41)
     for n in range(1, s.num_levels):
         lvl = s.level(n)
-        lifted = s._mu_mask(rng.getrandbits(s.width(n - 1)), n - 1)
+        lifted = lvl.lift(rng.getrandbits(s.width(n - 1)))
         # every bit of a row longer than one, sampled on the widest level
-        flips = [i for x in lvl.rows if len(lvl.where[x][2]) > 1 for i in range(*lvl.runs[x])]
+        where, runs, rows = lvl._tables
+        flips = [i for x in rows if len(where[x][2]) > 1 for i in range(*runs[x])]
         for i in rng.sample(flips, min(len(flips), 400)):
             assert _on_both_paths(monkeypatch, s,
-                                  lambda: s._pull_once(lifted ^ 1 << i, n)) == [None, None]
+                                  lambda: lvl.pull(lifted ^ 1 << i)) == [None, None]
 
 
 @_LADDERS

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from dmbl import probability
+from dmbl import worlds
 from dmbl.evaluator import assign, independent
 from dmbl.formula import parse
 from dmbl.model import ModelState
@@ -15,7 +15,7 @@ from dmbl.worlds import NARROW_WIDTH, PropSet, bit_indices, mask_of
 
 from genformulas import random_formula
 from oracle import drive_from_state
-from test_model import _interleaved_ladder
+from test_model import _interleaved_ladder, _on_both_paths
 
 APP_TASKS = [0b011, 0b100, 0b110, 0b001, 0b101, 0b010]
 APP_WEIGHTS = [Fraction(1, 5), Fraction(3, 10), Fraction(1, 2)]
@@ -360,15 +360,15 @@ def test_weight_of_sets_with_repeated_rows(build, measure):
 
 @pytest.fixture
 def row_walks(monkeypatch):
-    """The widths handed to the per-row loop, which a rank-one run skips."""
+    """The widths handed to the per-row grouping, which a rank-one run skips."""
     widths = []
-    real = probability._row_parts
+    real = worlds._row_groups
 
-    def spy(rows, halves, w, flags):
+    def spy(rows, lengths, flags):
         widths.append(len(flags))
-        return real(rows, halves, w, flags)
+        return real(rows, lengths, flags)
 
-    monkeypatch.setattr(probability, "_row_parts", spy)
+    monkeypatch.setattr(worlds, "_row_groups", spy)
     return widths
 
 
@@ -410,6 +410,28 @@ def test_weight_of_by_runs_on_wide_levels(build, weights, ladder, measure, row_w
                 assert m.weight_of(s, ps) == want, (n, ps.mask)
             assert bool(row_walks) == walked, n
             row_walks.clear()
+
+
+@pytest.mark.parametrize("measure", [MeasureState, _LeadingMeasure])
+@pytest.mark.parametrize("build,weights", [
+    (_depth_four_chain, PRIME_WEIGHTS),
+    (_case_zero_ladder, PRIME_WEIGHTS),
+    (_interleaved_ladder, APP_WEIGHTS),
+], ids=["depth-four", "case-zero", "interleaved"])
+def test_weight_of_agrees_on_both_paths(build, weights, measure, monkeypatch):
+    # every level read through its per-world tables, then every level by
+    # runs of rows, each with a fresh measure
+    s = build()
+    pi = BaseMeasure.from_weights(weights)
+    rng = random.Random(47)
+    for n in range(s.num_levels):
+        width = s.width(n)
+        for mask in [0, (1 << width) - 1, 1 << rng.randrange(width),
+                     rng.getrandbits(width), rng.getrandbits(width)]:
+            ps = PropSet(n, mask, width)
+            tables, runs = _on_both_paths(monkeypatch, s,
+                                          lambda: measure(s, pi).weight_of(s, ps))
+            assert tables == runs, (n, mask)
 
 
 def test_union_reads_one_run_row_by_row(row_walks):

@@ -248,11 +248,14 @@ def test_build_level_matches_sorted_reference(seed):
     assert lvl.index == 3 and lvl.width == len(want["pairs"])
     # the runs of rows are cut from the block masks, before any table exists
     segments = _plain_segments(lvl, prev_width)
-    assert "where" not in lvl.__dict__
-    assert segments == _segments_from_runs(want["runs"], lvl.blocks)
+    assert "_tables" not in lvl.__dict__
+    want_runs = want.pop("runs")
+    assert segments == _segments_from_runs(want_runs, lvl.blocks)
+    _, runs, rows = lvl._tables
+    assert runs == want_runs
     for key, value in want.items():
         assert getattr(lvl, key) == value, key
-    assert [x for *_, members in segments for x in members] == lvl.rows
+    assert [x for *_, members in segments for x in members] == rows
     for i in rng.sample(range(lvl.width), min(lvl.width, 48)):
         j = perm[i]
         assert lvl.transpose(1 << i) == 1 << j
