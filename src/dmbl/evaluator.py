@@ -55,44 +55,46 @@ def _eval(state: ModelState, g: Formula) -> PropSet:
     # level 0, a connective at the higher of its operands' levels, and a
     # conditional at the higher of those and its defining level.  Conditional
     # subterms may grow the state; only assign lifts the result to the top.
-    if isinstance(g, Top):
-        return state.full(0)
-    if isinstance(g, Bot):
-        return state.empty(0)
-    if isinstance(g, Atom):
+    # The node classes are final, so each is told by identity, commonest first
+    t = type(g)
+    if t is Atom:
         try:
             return state.h(g.name)
         except ModelError as exc:
             raise EvaluationError(str(exc)) from None
-    if isinstance(g, Not):
+    if t is Cond:
+        return state.ensure(_eval(state, g.cons), _eval(state, g.ante))
+    if t is Not:
         return _eval(state, g.body).complement()
-    if isinstance(g, (And, Or, Implies, Iff)):
+    if t is And or t is Or or t is Implies or t is Iff:
         a = _eval(state, g.left)
         b = _eval(state, g.right)
         if a.level < b.level:
             a = state.lift(a, b.level)
         elif b.level < a.level:
             b = state.lift(b, a.level)
-        if isinstance(g, And):
+        if t is And:
             return a & b
-        if isinstance(g, Or):
+        if t is Or:
             return a | b
-        if isinstance(g, Implies):
+        if t is Implies:
             return a.complement() | b
         return ((a - b) | (b - a)).complement()
-    if isinstance(g, (Box, Diamond)):
+    if t is Top:
+        return state.full(0)
+    if t is Bot:
+        return state.empty(0)
+    if t is Box or t is Diamond:
         v = _eval(state, g.body)
-        holds = v.is_full if isinstance(g, Box) else not v.is_empty
+        holds = v.is_full if t is Box else not v.is_empty
         return state.full(0) if holds else state.empty(0)
-    if isinstance(g, Cond):
-        return state.ensure(_eval(state, g.cons), _eval(state, g.ante))
-    if isinstance(g, Indep):
+    if t is Indep:
         # []((lhs|rhs) <-> lhs): conditioning on rhs leaves lhs unchanged
         lhs = _eval(state, g.lhs)
         c = state.ensure(lhs, _eval(state, g.rhs))
         same = c == state.lift(lhs, c.level)
         return state.full(0) if same else state.empty(0)
-    raise EvaluationError(f"cannot evaluate node {type(g).__name__}")
+    raise EvaluationError(f"cannot evaluate node {t.__name__}")
 
 
 def assign(state: ModelState, f: Formula) -> Valuation:

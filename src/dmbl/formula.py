@@ -128,15 +128,17 @@ BOT = Bot()
 
 
 def children(f: Formula) -> tuple[Formula, ...]:
-    if isinstance(f, (Top, Bot, Atom)):
+    # the node classes are final: each is told by identity, commonest first
+    t = type(f)
+    if t is Atom or t is Top or t is Bot:
         return ()
-    if isinstance(f, (Not, Box, Diamond)):
-        return (f.body,)
-    if isinstance(f, (And, Or, Implies, Iff)):
-        return (f.left, f.right)
-    if isinstance(f, Cond):
+    if t is Cond:
         return (f.cons, f.ante)
-    if isinstance(f, Indep):
+    if t is Not or t is Box or t is Diamond:
+        return (f.body,)
+    if t is And or t is Or or t is Implies or t is Iff:
+        return (f.left, f.right)
+    if t is Indep:
         return (f.lhs, f.rhs)
     raise TypeError(f"not a formula: {f!r}")
 
@@ -168,8 +170,6 @@ def expand(f: Formula) -> Formula:
     ``dmbl parse``, whose output repeats operands and so grows
     exponentially with nested ``<->`` or ``*`` (see ``expanded_size``).
     """
-    if isinstance(f, (Top, Bot, Atom)):
-        return f
     if isinstance(f, Iff):
         a, b = expand(f.left), expand(f.right)
         return And(Implies(a, b), Implies(b, a))
@@ -179,8 +179,7 @@ def expand(f: Formula) -> Formula:
         a, b = expand(f.lhs), expand(f.rhs)
         c = Cond(a, b)
         return Box(And(Implies(c, a), Implies(a, c)))
-    parts = tuple(expand(c) for c in children(f))
-    return rebuild(f, parts)
+    return rebuild(f, tuple(expand(c) for c in children(f)))
 
 
 def expanded_size(f: Formula) -> int:
@@ -200,7 +199,13 @@ def is_box_free(f: Formula) -> bool:
     ``[]``, ``<>`` and ``*`` are modal: independence abbreviates a boxed
     biconditional.  Equals the absence of ``[]`` from ``expand(f)``.
     """
-    return not any(isinstance(g, (Box, Diamond, Indep)) for g in subformulas(f))
+    stack = [f]
+    while stack:
+        t = type(g := stack.pop())
+        if t is Box or t is Diamond or t is Indep:
+            return False
+        stack += children(g)
+    return True
 
 
 # --- parsing ---------------------------------------------------------------
@@ -365,52 +370,35 @@ def parse(text: str, atoms=None) -> Formula:
 
 # --- printing --------------------------------------------------------------
 
-_LEVEL_INDEP = 0
-_LEVEL_IFF = 1
-_LEVEL_IMP = 2
-_LEVEL_OR = 3
-_LEVEL_AND = 4
+# Precedence levels run from 0 (``*``) to 5 (the prefixes); a node printed
+# where a higher level is required is parenthesized.  Each binary connective
+# gives its symbol, its level and its operands' required levels: the right
+# operand of a left-associative one and the left of ``->`` sit one higher.
+_BINARY = {Indep: (" * ", 0, 0, 1), Iff: (" <-> ", 1, 1, 2), Implies: (" -> ", 2, 3, 2),
+           Or: (" \\/ ", 3, 3, 4), And: (" /\\ ", 4, 4, 5)}
+_UNARY = {node: tok for tok, node in _PREFIX.items()}
 _LEVEL_UNARY = 5
-_LEVEL_ATOM = 6
 
 
 def _render(f: Formula, required: int) -> str:
-    if isinstance(f, Top):
-        return "T"
-    if isinstance(f, Bot):
-        return "F"
-    if isinstance(f, Atom):
+    t = type(f)
+    if t is Atom:
         return f.name
-    if isinstance(f, Cond):
-        return f"({_render(f.cons, _LEVEL_INDEP)} | {_render(f.ante, _LEVEL_INDEP)})"
-    if isinstance(f, Not):
-        text, level = "~" + _render(f.body, _LEVEL_UNARY), _LEVEL_UNARY
-    elif isinstance(f, Box):
-        text, level = "[]" + _render(f.body, _LEVEL_UNARY), _LEVEL_UNARY
-    elif isinstance(f, Diamond):
-        text, level = "<>" + _render(f.body, _LEVEL_UNARY), _LEVEL_UNARY
-    elif isinstance(f, And):
-        text = _render(f.left, _LEVEL_AND) + " /\\ " + _render(f.right, _LEVEL_AND + 1)
-        level = _LEVEL_AND
-    elif isinstance(f, Or):
-        text = _render(f.left, _LEVEL_OR) + " \\/ " + _render(f.right, _LEVEL_OR + 1)
-        level = _LEVEL_OR
-    elif isinstance(f, Implies):
-        text = _render(f.left, _LEVEL_IMP + 1) + " -> " + _render(f.right, _LEVEL_IMP)
-        level = _LEVEL_IMP
-    elif isinstance(f, Iff):
-        text = _render(f.left, _LEVEL_IFF) + " <-> " + _render(f.right, _LEVEL_IFF + 1)
-        level = _LEVEL_IFF
-    elif isinstance(f, Indep):
-        text = _render(f.lhs, _LEVEL_INDEP) + " * " + _render(f.rhs, _LEVEL_INDEP + 1)
-        level = _LEVEL_INDEP
+    if t is Cond:
+        return f"({_render(f.cons, 0)} | {_render(f.ante, 0)})"
+    if t is Top or t is Bot:
+        return "T" if t is Top else "F"
+    if t in _UNARY:
+        text, level = _UNARY[t] + _render(f.body, _LEVEL_UNARY), _LEVEL_UNARY
+    elif t in _BINARY:
+        symbol, level, left, right = _BINARY[t]
+        a, b = children(f)
+        text = _render(a, left) + symbol + _render(b, right)
     else:
         raise TypeError(f"not a formula: {f!r}")
-    if level < required:
-        return "(" + text + ")"
-    return text
+    return "(" + text + ")" if level < required else text
 
 
 def to_text(f: Formula) -> str:
     """Render a formula; ``parse(to_text(f))`` returns ``f`` verbatim."""
-    return _render(f, _LEVEL_INDEP)
+    return _render(f, 0)

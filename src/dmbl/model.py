@@ -150,17 +150,9 @@ class ModelState:
             atoms = tuple(atoms)
             if not atoms or len(set(atoms)) != len(atoms):
                 raise ModelError("atoms must be a nonempty list of distinct names")
-            k = len(atoms)
-            width = 1 << k
+            width = 1 << len(atoms)
             self._check_width([], width)
             self.atoms = atoms
-            # world i makes atom j true when bit k - 1 - j of i is set: a
-            # block of h ones above h zeros, repeated with period 2h
-            repeat = (1 << width) - 1
-            self._h0 = {}
-            for j, a in enumerate(atoms):
-                h = 1 << (k - 1 - j)
-                self._h0[a] = (((1 << h) - 1) << h) * (repeat // ((1 << 2 * h) - 1))
         else:
             worlds = list(worlds)
             if not worlds or len(set(worlds)) != len(worlds):
@@ -168,9 +160,9 @@ class ModelState:
             self._check_width([], len(worlds))
             self.atoms = ()
             self._labels = [str(w) for w in worlds]
-            self._h0 = {}
             width = len(worlds)
 
+        self._h: dict = {}
         self._levels: list[Level] = [Level(index=0, width=width)]
         self.history: list[ProcessedEvent] = []
 
@@ -267,9 +259,19 @@ class ModelState:
         return PropSet(level, m, w)
 
     def h(self, atom: str) -> PropSet:
-        if atom not in self._h0:
-            raise ModelError(f"unknown atom {atom!r}")
-        return PropSet(0, self._h0[atom], self.width(0))
+        """The atom's level-0 set, one per atom, built on its first use and
+        shared with snapshots (racing first uses store equal sets)."""
+        ps = self._h.get(atom)
+        if ps is None:
+            if atom not in self.atoms:
+                raise ModelError(f"unknown atom {atom!r}")
+            # world i makes atom j of k true when bit k - 1 - j of i is set:
+            # a block of h ones above h zeros, repeated with period 2h
+            width = self.width(0)
+            h = 1 << (len(self.atoms) - 1 - self.atoms.index(atom))
+            mask = (((1 << h) - 1) << h) * (((1 << width) - 1) // ((1 << 2 * h) - 1))
+            ps = self._h[atom] = PropSet(0, mask, width)
+        return ps
 
     # --- morphism, transpose, image test ---------------------------------
 

@@ -128,14 +128,17 @@ class PropSet:
         return bit_indices(self.mask)
 
     def index_text(self) -> str:
-        """``",".join(map(str, self.indices()))``, one slice of a cached text per run."""
-        bits = bit_string(self.mask, self.width) + "0"
-        text = _decimal_text(self.width)
-        parts = []
-        end = 0
-        while (start := bits.find("1", end)) >= 0:
-            end = bits.find("0", start)
-            parts.append(text[_decimal_offset(start):_decimal_offset(end) - 1])
+        """``",".join(map(str, self.indices()))``, one slice of a cached text per
+        run, found from the end of the binary digits: an empty set reads no text."""
+        bits = format(self.mask, "b")
+        n, parts = len(bits), []
+        if (last := bits.rfind("1")) >= 0:
+            text = _decimal_text(self.width)
+        while last >= 0:
+            # the run is characters gap + 1 to last, indices n - 1 - last to n - 2 - gap
+            gap = bits.rfind("0", 0, last)      # -1 when the run holds the top bit
+            parts.append(text[_decimal_offset(n - 1 - last):_decimal_offset(n - 1 - gap) - 1])
+            last = bits.rfind("1", 0, max(gap, 0))
         return ",".join(parts)
 
     # operator sugar, set semantics
@@ -245,8 +248,13 @@ class Level:
         half ``2b + 1`` its Gamma."""
         if self.width > NARROW_WIDTH:
             return [(x, k) for *_, k, worlds in self._segments for x in worlds]
-        where, _, rows = self._tables
-        return [(x, 2 * where[x][1] + where[x][0]) for x in rows]
+        return [(x, k) for x, k, _ in self._row_cuts]
+
+    @functools.cached_property
+    def _row_cuts(self) -> list:
+        # each row of a narrow level as (x, k, the slice of the level's bits it holds)
+        where, runs, rows = self._tables
+        return [(x, 2 * where[x][1] + where[x][0], slice(*runs[x])) for x in rows]
 
     def row_groups(self, mask: int):
         """The set ``mask`` as groups ``((k, pattern), rows)``: the worlds
@@ -256,9 +264,8 @@ class Level:
         time: a run whose nonzero rows all equal ``row``, the row of its
         lowest set bit, is ``firsts * row`` with ``firsts`` its bits in that
         bit's column (no carries), one group; other runs go row by row."""
-        lengths = [len(half) for block in self.blocks for half in block]
         if self.width <= NARROW_WIDTH:
-            return _row_groups(self.row_halves, lengths, _flags(mask, self.width))
+            return _row_groups(self._row_cuts, _flags(mask, self.width))
         out = []
         for _, start, count, length, _, _, repunit, k, worlds in self._segments:
             chunk = mask >> start & ((1 << count * length) - 1)
@@ -271,7 +278,8 @@ class Level:
                 out.append(((k, _flags(row, length)),
                             compress(worlds, _gather(firsts, count, length))))
             else:
-                out += _row_groups([(x, k) for x in worlds], lengths,
+                out += _row_groups([(x, k, slice(i, i + length)) for i, x in
+                                    zip(range(0, count * length, length), worlds)],
                                    _flags(chunk, count * length))
         return out
 
@@ -435,17 +443,14 @@ def _flags(mask: int, width: int) -> bytes:
     return bit_string(mask, width).encode().translate(_FLAGS)
 
 
-def _row_groups(rows, lengths, flags):
+def _row_groups(rows, flags):
     """``((k, pattern), worlds)`` for each distinct (half, row pattern) of the
-    set whose bits ``flags`` holds in the order of ``rows``, pairs ``(x, k)``
-    whose row is ``lengths[k]`` bits: one slice of ``flags`` per row.  The
-    key needs ``k``: halves of one length can share a slice but not weights."""
+    set whose bits ``flags`` holds, ``rows`` giving each row as ``(x, k,
+    its slice of flags)``.  The key needs ``k``: halves of one length can
+    share a slice but not weights."""
     groups: dict = {}
-    start = 0
-    for x, k in rows:
-        end = start + lengths[k]
-        groups.setdefault((k, flags[start:end]), []).append(x)
-        start = end
+    for x, k, cut in rows:
+        groups.setdefault((k, flags[cut]), []).append(x)
     return groups.items()
 
 

@@ -315,6 +315,14 @@ GOLDEN_REPORTS = [
     pytest.param(["b6-diag", "T", "T", DEEP + " /\\ (q|p)", "--json"],
                  "0019732522b20fb7620e33190a57a6cdeb013b1be07fb6adcd02f261ecd38883",
                  id="b6-diag-three-runs"),
+    # both nesting values are empty at the 40960-world top
+    pytest.param(["b6-diag", "T", "T", "F /\\ " + DEEP, "--json"],
+                 "e04a030260bb6a1014cb348d5abd8f52bf95ad5dbef8b848a8cc589b42bc5c1f",
+                 id="b6-diag-empty-top"),
+    # 10240 of the 40960 top-level worlds each, in 50 runs
+    pytest.param(["b6-diag", "T", "T", "(((q|p)|~q)|p /\\ q) /\\ " + DEEP, "--json"],
+                 "76acbe971d7376f6b6e887b5ab6e3cde2b2cc6211a271c942eee866a0dab290c",
+                 id="b6-diag-fifty-runs"),
     # probabilities weigh values at their own level: phi sits below the top
     pytest.param(["bayes", "((q|p)|q)", "p", "--json"],
                  "6b539052963f104e5cda77bac56e8ac3d794f4801f2cf52001b8985782328fe6",

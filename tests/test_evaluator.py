@@ -4,10 +4,10 @@ from itertools import product
 import pytest
 from hypothesis import given, strategies as st
 
-from dmbl.evaluator import (EvaluationError, assign, decide, diagnose_b6,
+from dmbl.evaluator import (EvaluationError, _eval, assign, decide, diagnose_b6,
                             independent, lewis_escape, valid)
-from dmbl.formula import (And, Atom, Bot, Iff, Implies, Not, Or, Top, expand,
-                          parse)
+from dmbl.formula import (And, Atom, Bot, Box, Formula, Iff, Implies, Not, Or, Top,
+                          children, expand, is_box_free, parse, subformulas, to_text)
 from dmbl.model import CapExceededError, ModelState
 from dmbl.worlds import PropSet
 
@@ -304,3 +304,58 @@ def test_diagnose_b6_nesting_probe_matches_reference():
     left = om.f(om.f(heta, hq), hp)
     right = om.f(heta, hp & hq)
     assert rep.star_equal == (left == right)
+
+
+# --- node classes ---------------------------------------------------------------
+
+def _node_classes():
+    # every concrete node class: the subclasses of Formula that its module defines
+    return sorted((cls for cls in Formula.__subclasses__()
+                   if cls.__module__ == Formula.__module__), key=lambda cls: cls.__name__)
+
+
+def _sample(cls):
+    # one node of cls over the atoms p and q: an atom is p, and an operand
+    # slot holds p or q in turn
+    if cls is Atom:
+        return Atom("p")
+    return cls(*(Atom(name) for name, _ in zip("pq", cls.__slots__)))
+
+
+@pytest.mark.parametrize("cls", _node_classes(), ids=lambda cls: cls.__name__)
+def test_every_node_class_is_evaluated_split_and_classified(cls):
+    # _eval, children, is_box_free and the printer tell the classes apart
+    # by identity, so each one must be named in each of them
+    f = _sample(cls)
+    assert isinstance(_eval(ModelState.from_atoms(["p", "q"]), f), PropSet)
+    assert parse(to_text(f)) == f
+    assert children(f) == tuple(getattr(f, name) for name in cls.__slots__
+                                if name != "name")
+    assert is_box_free(f) == (not any(isinstance(g, Box) for g in subformulas(expand(f))))
+
+
+class _Unknown(Formula):
+    __slots__ = ()
+
+
+class _SubclassedAnd(And):
+    __slots__ = ()
+
+
+@pytest.mark.parametrize("node", [_Unknown(), _SubclassedAnd(Atom("p"), Atom("q"))],
+                         ids=["unknown", "subclassed"])
+def test_an_unknown_node_class_is_refused(node):
+    s = ModelState.from_atoms(["p", "q"])
+    with pytest.raises(EvaluationError, match=f"cannot evaluate node {type(node).__name__}"):
+        _eval(s, node)
+    with pytest.raises(TypeError):
+        children(node)
+    with pytest.raises(TypeError):
+        to_text(node)
+
+
+def test_an_atom_set_is_built_once_per_state():
+    s = ModelState.from_atoms(["p", "q"])
+    assert s.h("p") is s.h("p") is _eval(s, Atom("p"))
+    assert s.h("p") == s.from_indices(0, [2, 3]) and s.h("q") == s.from_indices(0, [1, 3])
+    assert s.snapshot().h("q") is s.h("q")

@@ -364,9 +364,9 @@ def row_walks(monkeypatch):
     widths = []
     real = worlds._row_groups
 
-    def spy(rows, lengths, flags):
+    def spy(rows, flags):
         widths.append(len(flags))
-        return real(rows, lengths, flags)
+        return real(rows, flags)
 
     monkeypatch.setattr(worlds, "_row_groups", spy)
     return widths

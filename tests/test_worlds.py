@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
@@ -328,6 +329,19 @@ def test_index_text_matches_joined_indices(width):
     masks.append(sum((1 << e) - (1 << s) for s, e in zip(cuts[::2], cuts[1::2])))
     for m in masks:
         assert PropSet(0, m, width).index_text() == ",".join(map(str, bit_indices(m)))
+
+
+def test_index_text_of_an_empty_set_builds_no_width_long_text():
+    # the width of a level one step past the depth-4 ladder's 40960 worlds
+    # is in the hundreds of millions; an empty set lists nothing there
+    ps = PropSet(0, 0, 2 ** 24)
+    tracemalloc.start()
+    try:
+        assert ps.index_text() == ""
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 @pytest.mark.parametrize("length", [1, 2, 3, 4, 5, 6, 7, 8, 12, 64, 320])
