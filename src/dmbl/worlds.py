@@ -278,8 +278,8 @@ class Level:
                 out.append(((k, _flags(row, length)),
                             compress(worlds, _gather(firsts, count, length))))
             else:
-                out += _row_groups([(x, k, slice(i, i + length)) for i, x in
-                                    zip(range(0, count * length, length), worlds)],
+                out += _row_groups([(x, k, slice(i * length, (i + 1) * length))
+                                    for i, x in enumerate(worlds)],
                                    _flags(chunk, count * length))
         return out
 
