@@ -162,13 +162,23 @@ def cmd_indep(cfg, args) -> int:
     return 0 if res else 1
 
 
+def _mark_limit(m, report: dict, lines: list) -> None:
+    """Mark a report whose base has zeros, which ``init_measure`` reads as a limit."""
+    if not m.base.strictly_positive:
+        report["limit"] = True
+        lines.insert(0, "note: the base measure has zero weights; probabilities "
+                        "are limits under a vanishing uniform perturbation")
+
+
 def cmd_prob(cfg, args) -> int:
     state = build_state(cfg)
     f = _parse_formula(args.formula, state)
     m = init_measure(state, build_measure(cfg, state))
     value = prob(state, m, f)
     report = {"command": "prob", "formula": to_text(f), **_fraction_fields(value)}
-    _emit(cfg, report, [f"P({to_text(f)}) = {value} = {float(value)}"])
+    lines = [f"P({to_text(f)}) = {value} = {float(value)}"]
+    _mark_limit(m, report, lines)
+    _emit(cfg, report, lines)
     return 0
 
 
@@ -186,11 +196,13 @@ def cmd_bayes(cfg, args) -> int:
         "rhs": _fraction_fields(res.rhs),
         "equal": res.equal,
     }
-    _emit(cfg, report, [
+    lines = [
         f"P(({to_text(psi)}|{to_text(phi)})) * P({to_text(phi)}) = {res.lhs}",
         f"P({to_text(phi)} /\\ {to_text(psi)}) = {res.rhs}",
         "equal" if res.equal else "NOT EQUAL",
-    ])
+    ]
+    _mark_limit(m, report, lines)
+    _emit(cfg, report, lines)
     return 0 if res.equal else 1
 
 

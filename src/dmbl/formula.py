@@ -244,8 +244,25 @@ def _tokenize(text: str) -> list[str]:
 MAX_DEPTH = 100
 
 _PREFIX = {"~": Not, "[]": Box, "<>": Diamond}
+
+# Precedence levels run from 0 (``*``) to 5 (the prefixes), for the parser
+# and the printer alike; a node printed where a higher level is required is
+# parenthesized.  Each binary connective gives its symbol, its level and its
+# operands' required levels: the right operand of a left-associative one and
+# the left of ``->`` sit one higher.
+_BINARY = {Indep: (" * ", 0, 0, 1), Iff: (" <-> ", 1, 1, 2), Implies: (" -> ", 2, 3, 2),
+           Or: (" \\/ ", 3, 3, 4), And: (" /\\ ", 4, 4, 5)}
+_UNARY = {node: tok for tok, node in _PREFIX.items()}
+_LEVEL_UNARY = 5
+# the parser's reading of ``_BINARY``: per level, the connectives at it or
+# tighter, tightest first, as (token, node, level of the right operand)
+_TIGHTEST = sorted(_BINARY.items(), key=lambda item: item[1][1], reverse=True)
+_CONNECTIVES_FROM = tuple(
+    tuple((symbol.strip(), node, right) for node, (symbol, at, _, right) in _TIGHTEST
+          if at >= level) for level in range(_LEVEL_UNARY + 1))
 # every token that is not an identifier, end of input included
-_SYMBOLS = frozenset(("<->", "->", "<>", "[]", "/\\", "\\/", "~", "*", "|", "(", ")", ""))
+_SYMBOLS = frozenset(
+    (*_PREFIX, *(tok for tok, _, _ in _CONNECTIVES_FROM[0]), "|", "(", ")", ""))
 
 
 class _Parser:
@@ -271,49 +288,20 @@ class _Parser:
                              _offset(self.text, self.pos))
         self.pos += 1
 
-    def formula(self) -> Formula:
-        depth = self.depth
-        out = self.iff()
-        while self.tokens[self.pos] == "*":
-            self.nest()
-            out = Indep(out, self.iff())
-        self.depth = depth
-        return out
+    def formula(self, level: int = 0) -> Formula:
+        """A formula whose binary connectives all sit at ``level`` or tighter.
 
-    def iff(self) -> Formula:
-        depth = self.depth
-        out = self.imp()
-        while self.tokens[self.pos] == "<->":
-            self.nest()
-            out = Iff(out, self.imp())
-        self.depth = depth
-        return out
-
-    def imp(self) -> Formula:
-        left = self.disj()
-        if self.tokens[self.pos] != "->":
-            return left
-        self.nest()
-        out = Implies(left, self.imp())
-        self.depth -= 1
-        return out
-
-    def disj(self) -> Formula:
-        depth = self.depth
-        out = self.conj()
-        while self.tokens[self.pos] == "\\/":
-            self.nest()
-            out = Or(out, self.conj())
-        self.depth = depth
-        return out
-
-    def conj(self) -> Formula:
+        After the first operand, each level from the tightest out takes its
+        connectives in turn and then restores the nesting depth the formula
+        started at, so each level's chain counts only its own connectives.
+        """
         depth = self.depth
         out = self.unary()
-        while self.tokens[self.pos] == "/\\":
-            self.nest()
-            out = And(out, self.unary())
-        self.depth = depth
+        for tok, node, right in _CONNECTIVES_FROM[level]:
+            while self.tokens[self.pos] == tok:
+                self.nest()
+                out = node(out, self.formula(right))
+            self.depth = depth
         return out
 
     def unary(self) -> Formula:
@@ -350,7 +338,7 @@ class _Parser:
         raise ParseError(
             f"unexpected token {tok or 'end of input'!r}",
             _offset(self.text, self.pos),
-            ("T", "F", "identifier", "(", "~", "[]", "<>"),
+            ("T", "F", "identifier", "(", *_PREFIX),
         )
 
 
@@ -369,16 +357,6 @@ def parse(text: str, atoms=None) -> Formula:
 
 
 # --- printing --------------------------------------------------------------
-
-# Precedence levels run from 0 (``*``) to 5 (the prefixes); a node printed
-# where a higher level is required is parenthesized.  Each binary connective
-# gives its symbol, its level and its operands' required levels: the right
-# operand of a left-associative one and the left of ``->`` sit one higher.
-_BINARY = {Indep: (" * ", 0, 0, 1), Iff: (" <-> ", 1, 1, 2), Implies: (" -> ", 2, 3, 2),
-           Or: (" \\/ ", 3, 3, 4), And: (" /\\ ", 4, 4, 5)}
-_UNARY = {node: tok for tok, node in _PREFIX.items()}
-_LEVEL_UNARY = 5
-
 
 def _render(f: Formula, required: int) -> str:
     t = type(f)

@@ -14,12 +14,13 @@ weights in the set, scaled once per block half.  The set's level groups
 its rows by pattern (``Level.row_groups``), so each group costs one
 product: on a wide level, a rank-one run of rows, as every run of a
 conditional's value ``S | T(S)`` is, makes one group.
-A base measure with zeros is read through ``limit_prob``: the same
-extension runs over leading terms ``(order, coeff)`` in a vanishing uniform
-perturbation eps, where products add orders, sums keep the lowest order,
-and the coefficients are integer numerators over the same kind of shared
-denominators.  All arithmetic is exact; there is no floating point in
-this module.
+A base measure with zeros is read as the limit under a vanishing uniform
+perturbation eps: ``init_measure`` then runs the same extension over
+leading terms ``(order, coeff)``, where products add orders, sums keep the
+lowest order, and the coefficients are integer numerators over the same
+kind of shared denominators.  ``prob`` and ``bayes_check`` read either
+measure alike, and ``limit_prob`` is one query under the limit.  All
+arithmetic is exact; there is no floating point in this module.
 """
 
 from __future__ import annotations
@@ -155,7 +156,7 @@ class MeasureState:
         if 0 in sums:
             raise MeasureError(
                 "zero-weight block: extension needs a strictly positive "
-                "base measure (use the perturbation limit instead)")
+                "base measure (init_measure reads one with zeros as a limit)")
         self._steps[n] = (halves, *self._scale(sums))
         return self._steps[n]
 
@@ -200,7 +201,7 @@ class MeasureState:
 
 
 class _LeadingMeasure(MeasureState):
-    """The same extension over leading terms, for ``limit_prob``.
+    """The same extension over leading terms, for a base with zeros.
 
     A block sum ``s`` leads with ``coeff * eps**order``, so the level scale
     is the lcm of the sums' coefficients and the factor of ``s`` is
@@ -220,6 +221,12 @@ class _LeadingMeasure(MeasureState):
         scale = math.lcm(*(s.coeff for s in sums))
         return scale, [_Leading(-s.order, scale // s.coeff) for s in sums]
 
+    def level_weights(self, n: int) -> list[Fraction]:
+        """The limits of level ``n``'s weights: each coefficient at order 0."""
+        den = self._denoms[n]
+        return [Fraction(x.coeff, den) if x.order == 0 else Fraction(0)
+                for x in self._levels[n]]
+
     def weight_of(self, state: ModelState, value) -> Fraction:
         """The limit of ``value``'s weight: its coefficient at order 0."""
         total, den = self._mass(state, value)
@@ -229,8 +236,12 @@ class _LeadingMeasure(MeasureState):
 
 
 def init_measure(state: ModelState, pi: BaseMeasure) -> MeasureState:
-    """Attach ``pi`` to the model and extend it through the built levels."""
-    m = MeasureState(state, pi)
+    """Attach ``pi`` to the model and extend it through the built levels.
+
+    A base with zeros is read as the limit under a vanishing uniform
+    perturbation (``_LeadingMeasure``), as ``limit_prob`` reads it.
+    """
+    m = MeasureState(state, pi) if pi.strictly_positive else _LeadingMeasure(state, pi)
     m.extend_to(state, state.top)
     return m
 

@@ -364,6 +364,47 @@ def test_config_file(tmp_path, capsys):
     assert json.loads(out)["rational"] == "7/10"
 
 
+# both ~p worlds weigh zero, so P(p) = 1 and conditionals on p or ~p are limits
+ZERO_WEIGHT_MEASURE = {"~p /\\ ~q": "0", "~p /\\ q": "0",
+                       "p /\\ ~q": "3/4", "p /\\ q": "1/4"}
+LIMIT_NOTE = ("note: the base measure has zero weights; probabilities are "
+              "limits under a vanishing uniform perturbation")
+
+
+@pytest.mark.parametrize("text, want", [("(q|p)", "1/4 = 0.25"), ("(q|~p)", "1/2 = 0.5")])
+def test_prob_with_a_zero_weight_base_is_the_limit(tmp_path, capsys, text, want):
+    cfg = tmp_path / "zero.json"
+    cfg.write_text(json.dumps({"measure": ZERO_WEIGHT_MEASURE}))
+    code, out, err = run(capsys, "prob", text, "--config", str(cfg))
+    assert code == 0 and err == ""
+    assert out == f"{LIMIT_NOTE}\nP({text.replace('|', ' | ')}) = {want}\n"
+    code, out, err = run(capsys, "prob", text, "--config", str(cfg), "--json")
+    report = json.loads(out)
+    assert code == 0 and err == ""
+    assert report["rational"] == want.split()[0] and report["limit"] is True
+
+
+def test_bayes_with_a_zero_weight_base_is_the_limit(tmp_path, capsys):
+    cfg = tmp_path / "zero.json"
+    cfg.write_text(json.dumps({"measure": ZERO_WEIGHT_MEASURE}))
+    code, out, err = run(capsys, "bayes", "p", "q", "--config", str(cfg))
+    assert code == 0 and err == ""
+    assert out.splitlines() == [LIMIT_NOTE, "P((q|p)) * P(p) = 1/4", "P(p /\\ q) = 1/4",
+                                "equal"]
+    code, out, err = run(capsys, "bayes", "p", "q", "--config", str(cfg), "--json")
+    report = json.loads(out)
+    assert code == 0 and err == ""
+    assert report["equal"] is True and report["limit"] is True
+    assert report["lhs"]["rational"] == report["rhs"]["rational"] == "1/4"
+
+
+def test_positive_base_text_reports_carry_no_note(capsys):
+    # the --json reports are pinned by GOLDEN_REPORTS
+    assert run(capsys, "prob", "(q|p)")[1] == "P((q | p)) = 1/2 = 0.5\n"
+    assert run(capsys, "bayes", "p", "q")[1] == \
+        "P((q|p)) * P(p) = 1/4\nP(p /\\ q) = 1/4\nequal\n"
+
+
 def test_config_bad_measure(tmp_path, capsys):
     cfg = tmp_path / "engine.json"
     cfg.write_text(json.dumps({

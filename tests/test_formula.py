@@ -8,6 +8,7 @@ from dmbl.formula import (And, Atom, Bot, Box, Cond, Diamond, Iff, Implies,
                           atoms_of, expand, expanded_size, is_box_free, parse,
                           subformulas, to_text)
 from genformulas import random_formula
+from refparser import reference_parse
 
 
 def test_parse_constant():
@@ -37,6 +38,40 @@ def test_precedence_chain():
 
 def test_implication_right_associative():
     assert parse("p -> q -> p") == Implies(Atom("p"), Implies(Atom("q"), Atom("p")))
+
+
+# loosest first, written here apart from the parser's and printer's table
+CONNECTIVES = [(" * ", Indep), (" <-> ", Iff), (" -> ", Implies), (" \\/ ", Or),
+               (" /\\ ", And)]
+P, Q, R = Atom("p"), Atom("q"), Atom("r")
+
+
+def _bare_tree(first, second):
+    """The tree of ``p A q B r`` for connectives ``A``, ``B`` (indices into
+    ``CONNECTIVES``): the tighter one groups first; a repeated ``->`` groups
+    to the right and any other repeated connective to the left."""
+    a, b = CONNECTIVES[first][1], CONNECTIVES[second][1]
+    if first > second or (first == second and a is not Implies):
+        return b(a(P, Q), R)
+    return a(P, b(Q, R))
+
+
+@pytest.mark.parametrize("outer", range(5), ids=[s.strip() for s, _ in CONNECTIVES])
+@pytest.mark.parametrize("inner", range(5), ids=[s.strip() for s, _ in CONNECTIVES])
+def test_binary_connective_pairs_round_trip(outer, inner):
+    (o_sym, o_node), (i_sym, i_node) = CONNECTIVES[outer], CONNECTIVES[inner]
+    cases = [  # (parenthesized text, its tree, the text without parentheses)
+        (f"(p{i_sym}q){o_sym}r", o_node(i_node(P, Q), R), f"p{i_sym}q{o_sym}r"),
+        (f"p{o_sym}(q{i_sym}r)", o_node(P, i_node(Q, R)), f"p{o_sym}q{i_sym}r"),
+    ]
+    bare_trees = [_bare_tree(inner, outer), _bare_tree(outer, inner)]
+    for (text, tree, bare), bare_tree in zip(cases, bare_trees):
+        for t, want in ((text, tree), (bare, bare_tree)):
+            assert parse(t) == reference_parse(t) == want, t
+            assert parse(t, ["p", "q", "r"]) == want, t
+        # the printer drops the parentheses exactly when they are redundant
+        assert to_text(tree) == (bare if bare_tree == tree else text)
+        assert to_text(bare_tree) == bare
 
 
 def test_modal_prefixes():

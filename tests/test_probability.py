@@ -517,8 +517,36 @@ def test_prob_of_a_level_zero_value_needs_no_extension():
     m = init_measure(s, BaseMeasure.from_weights([Fraction(1, 2), Fraction(1, 2), 0, 0]))
     assert prob(s, m, parse("[](q|p)")) == 0
     assert prob(s, m, parse("<>(q|p)")) == 1
-    with pytest.raises(MeasureError):
-        prob(s, m, parse("(q|p)"))
+    assert prob(s, m, parse("(q|p)")) == Fraction(1, 2)
+
+
+@given(st.integers(min_value=0, max_value=1_500))
+def test_init_measure_reads_a_base_with_zeros_as_the_limit(seed):
+    rng = random.Random(seed)
+    f = random_formula(rng, ["p", "q"], max_depth=3, cond_budget=3, allow_modal=True)
+    zeros = rng.sample(range(4), rng.choice((1, 2)))
+    weights = [Fraction(0) if i in zeros else Fraction(rng.randrange(1, 9))
+               for i in range(4)]
+    pi = BaseMeasure.from_weights([w / sum(weights) for w in weights])
+    s = ModelState.from_atoms(["p", "q"])
+    s2 = ModelState.from_atoms(["p", "q"])
+    assert prob(s, init_measure(s, pi), f) == limit_prob(s2, pi, f)
+
+
+def test_level_weights_of_a_base_with_zeros_are_the_limits():
+    # worlds ~p~q ~pq p~q pq; the step on p pairs Pi = {p~q, pq} with the
+    # zero-weight Gamma = {~p~q, ~pq}: (x, y) in Pi x Gamma weighs P(x) / 2 in
+    # the limit, and (y, x) in Gamma x Pi vanishes
+    s = ModelState.from_atoms(["p", "q"])
+    s.step(s.h("p"))
+    pi = BaseMeasure.from_weights([0, 0, Fraction(3, 4), Fraction(1, 4)])
+    m = init_measure(s, pi)
+    assert m.level_weights(0) == list(pi.weights)
+    assert m.level_weights(1) == [Fraction(3, 8), Fraction(3, 8), Fraction(1, 8),
+                                  Fraction(1, 8), 0, 0, 0, 0]
+    for mask in (0b1, 0b1010, 0b11110000, 0b10110101):
+        assert m.weight_of(s, PropSet(1, mask, 8)) == \
+            sum(m.level_weights(1)[i] for i in bit_indices(mask))
 
 
 def test_multiplicativity_on_known_independent_pairs():
