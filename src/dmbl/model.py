@@ -284,6 +284,15 @@ class ModelState:
             mask = lvl.lift(mask)
         return mask
 
+    def _lift_sizes(self, level: int) -> list[int]:
+        """How many top-level worlds each world of ``level`` lifts to."""
+        if level == self.top:
+            return [1] * self.width(level)
+        sizes = None
+        for lvl in reversed(self._levels[level + 1:]):
+            sizes = lvl.row_sizes(sizes)
+        return sizes
+
     def lift(self, ps: PropSet, target: int) -> PropSet:
         """Iterated embedding up to ``target``; identity when already there."""
         if target < ps.level:
@@ -415,6 +424,7 @@ class ModelState:
             blocks = [(b_mask, b_mask ^ full)]
             case, nu = 1, None
             lowest = self._lowest(event.mask, event.level)
+            width = 2 * b_mask.bit_count() * (b_mask ^ full).bit_count()
         else:
             nu, direct = match
             if not direct:
@@ -423,13 +433,16 @@ class ModelState:
                         "task list drew the complement of a processed event")
                 b_mask ^= full    # re-process the prior orientation
             base = self.history[nu].level + 1
-            # a block per Pi x Gamma world and its swap
-            blocks = [(self._lift_mask(1 << w, base, n), self._lift_mask(1 << t, base, n))
-                      for w, t in self._levels[base].swapped_pairs()]
+            # a block per Pi x Gamma world and its swap, sized before it is built
+            pairs = self._levels[base].swapped_pairs()
+            sizes = self._lift_sizes(base)
+            width = sum(2 * sizes[w] * sizes[t] for w, t in pairs)
             case, lowest = 0, self.history[nu].lowest
 
-        self._check_width([lvl.width for lvl in self._levels],
-                          sum(2 * p.bit_count() * g.bit_count() for p, g in blocks))
+        self._check_width([lvl.width for lvl in self._levels], width)
+        if case == 0:
+            blocks = [(self._lift_mask(1 << w, base, n), self._lift_mask(1 << t, base, n))
+                      for w, t in pairs]
 
         self._levels.append(build_level(n + 1, self.width(n), blocks))
         self.history.append(ProcessedEvent(

@@ -31,10 +31,12 @@ class LevelMismatchError(WorldsError):
 _BYTE_BITS = [tuple(b for b in range(8) if (v >> b) & 1) for v in range(256)]
 _BIT_AT = [bytes(v >> s & 1 for v in range(256)) for s in range(8)]
 _FLAGS = bytes.maketrans(b"01", b"\x00\x01")
+_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 
-# widest level transposed, lifted onto and pulled off bit by bit (a transpose:
-# 18 us against 46 us by rows at width 32, 108 against 69 at 384, median per
-# random mask after gc.collect()) and read off per-world tables, not runs of rows
+# widest level transposed, lifted onto and pulled off bit by bit and read off
+# per-world tables, not by runs of rows.  A transpose by runs lost at width 32
+# (6.5 against 4.5 us on a random set) and won from 128 up (10 against 15 us
+# on lifts at 128, 9 against 52 at 384; timeit min, 2-core x86-64 host)
 NARROW_WIDTH = 64
 
 
@@ -256,25 +258,58 @@ class Level:
         where, runs, rows = self._tables
         return [(x, 2 * where[x][1] + where[x][0], slice(*runs[x])) for x in rows]
 
-    def row_groups(self, mask: int):
-        """The set ``mask`` as groups ``((k, pattern), rows)``: the worlds
-        ``rows`` below, pairing with half ``k``, whose rows all read
-        ``pattern``, a ``compress`` selector over that half.  A narrow level
-        groups all rows by (half, pattern).  A wide one reads a run at a
-        time: a run whose nonzero rows all equal ``row``, the row of its
-        lowest set bit, is ``firsts * row`` with ``firsts`` its bits in that
-        bit's column (no carries), one group; other runs go row by row."""
-        if self.width <= NARROW_WIDTH:
-            return _row_groups(self._row_cuts, _flags(mask, self.width))
-        out = []
-        for _, start, count, length, _, _, repunit, k, worlds in self._segments:
+    def row_sizes(self, sizes=None) -> list:
+        """Per world below, the total of ``sizes`` (one per world of this
+        level) over its row, or its row's length when ``sizes`` is None."""
+        out, start = [0] * self.prev_width, 0
+        for x, k in self.row_halves:
+            end = start + len(self.blocks[k >> 1][k & 1])
+            out[x] = end - start if sizes is None else sum(sizes[start:end])
+            start = end
+        return out
+
+    @functools.cached_property
+    def _half_runs(self) -> tuple:
+        # each block half's runs as (start, count, length, the position of
+        # its first row in the half), keyed by the half's index (a run's
+        # rows pair with half k and lie in half k ^ 1), and each run's
+        # position keyed by its start
+        halves: dict = {}
+        at: dict = {}
+        for _, start, count, length, *_, k, _ in self._segments:
+            runs = halves.setdefault(k ^ 1, [])
+            at[start] = a = runs[-1][3] + runs[-1][1] if runs else 0
+            runs.append((start, count, length, a))
+        return halves, at
+
+    def _runs_met(self, mask: int):
+        # each run of a wide level's rows that the set meets, as (its
+        # segment, its bits, (firsts, row) or None): a run whose nonzero rows
+        # all equal ``row``, the row of its lowest set bit, is ``firsts *
+        # row`` with ``firsts`` its bits in that bit's column (no carries)
+        for seg in self._segments:
+            _, start, count, length, _, _, repunit, _, _ = seg
             chunk = mask >> start & ((1 << count * length) - 1)
             if not chunk:
                 continue
             low = (chunk & -chunk).bit_length() - 1
             firsts = chunk >> low % length & repunit
             row = chunk >> (low - low % length) & ((1 << length) - 1)
-            if firsts * row == chunk:
+            yield seg, chunk, (firsts, row) if firsts * row == chunk else None
+
+    def row_groups(self, mask: int):
+        """The set ``mask`` as groups ``((k, pattern), rows)``: the worlds
+        ``rows`` below, pairing with half ``k``, whose rows all read
+        ``pattern``, a ``compress`` selector over that half.  A narrow level
+        groups all rows by (half, pattern).  A wide one reads a run at a
+        time: a run whose nonzero rows are all one row is one group; other
+        runs go row by row."""
+        if self.width <= NARROW_WIDTH:
+            return _row_groups(self._row_cuts, _flags(mask, self.width))
+        out = []
+        for (_, _, count, length, _, _, _, k, worlds), chunk, factors in self._runs_met(mask):
+            if factors:
+                firsts, row = factors
                 out.append(((k, _flags(row, length)),
                             compress(worlds, _gather(firsts, count, length))))
             else:
@@ -297,6 +332,8 @@ class Level:
         """
         if self.width <= NARROW_WIDTH:
             return self.conditional_here(self.lift(below), direct)
+        if not below:
+            return 0
         s = bit_string(below, self.prev_width)
         out = 0
         for on_pi, start, count, length, rows, partners, repunit, _, _ in self._segments:
@@ -314,7 +351,8 @@ class Level:
 
     def lift(self, below: int) -> int:
         """The set ``below`` of the previous level embedded here: each of its
-        worlds fills its row.  A wide level spreads a run of rows at once."""
+        worlds fills its row.  A wide level spreads a run of rows at once,
+        and lifts the empty and the full set without reading them."""
         if self.width <= NARROW_WIDTH:
             out, runs = 0, self._tables[1]
             for p in bit_indices(below):
@@ -323,6 +361,8 @@ class Level:
             return out
         if not below:
             return 0
+        if below.bit_count() == self.prev_width:
+            return (1 << self.width) - 1
         s = bit_string(below, self.prev_width)
         return sum(_filled(rows, s, count, length) << start
                    for _, start, count, length, rows, *_ in self._segments)
@@ -358,14 +398,21 @@ class Level:
                 for w, r in enumerate(where[l][2], runs[l][0])]
 
     def transpose(self, mask: int) -> int:
-        """Image of ``mask`` under the swap ``(x, y) -> (y, x)``.
+        """Image of ``mask`` under the swap ``(x, y) -> (y, x)``; the empty
+        set's is known without reading the level.
 
-        A narrow level moves its set bits one by one; a wider one moves
-        whole rows, where the string pass repays its fixed cost.
+        A narrow level moves its set bits one by one.  A wide one moves the
+        runs of rows the set meets.  A run whose rows ``rows`` all read one
+        pattern over half ``k`` swaps to the pattern's rows of half ``k``,
+        each reading ``rows``' positions: one product per run of half ``k``
+        and distinct (half, pattern).  Any other run is copied off its bit
+        string a column or a row at a time.
         """
+        if not mask:
+            return 0
         if self.width <= NARROW_WIDTH:
             return self._transpose_bits(mask)
-        return self._transpose_rows(mask)
+        return self._transpose_runs(mask)
 
     def _transpose_bits(self, mask: int) -> int:
         where, runs, rows = self._tables
@@ -377,18 +424,40 @@ class Level:
             out |= 1 << (runs[partners[i - runs[rows[k]][0]]][0] + pos)
         return out
 
-    def _transpose_rows(self, mask: int) -> int:
-        # a half's rows form a row-major matrix whose column j is the
-        # swapped row of the other half's j-th member
-        s = bit_string(mask, self.width)
-        _, runs, rows = self._tables
-        swapped: dict = {}
-        for pi, ga in self.blocks:
-            for half, other in ((ga, pi), (pi, ga)):
-                m = "".join([s[a:e] for a, e in map(runs.__getitem__, half)])
-                n = len(other)
-                swapped.update(zip(other, [m[j::n] for j in range(n)]))
-        return int("".join(map(swapped.__getitem__, rows))[::-1], 2)
+    def _transpose_runs(self, mask: int) -> int:
+        halves, at = self._half_runs
+        out, groups, text = 0, {}, None
+        for (_, start, count, length, _, _, repunit, k, _), chunk, factors in self._runs_met(mask):
+            a = at[start]
+            if factors:
+                # the run's rows are the columns its pattern's rows swap to
+                firsts, row = factors
+                cols = ((1 << count) - 1 if firsts == repunit else
+                        int(_gather(firsts, count, length)[::-1].translate(_DIGITS), 2))
+                groups[k, row] = groups.get((k, row), 0) | cols << a
+                continue
+            # column c of the run is row c of half k from the run's position
+            # on, copied a column or, when the run has fewer rows, a row at a
+            # time.  Both texts hold the top bit first, so none is reversed
+            if text is None:
+                text = bytearray(b"0") * self.width
+            size = count * length
+            s = format(chunk, "b").zfill(size).encode()
+            for first, n, span, j in halves[k]:
+                end = self.width - first - a
+                if n <= count:
+                    for c in range(j, j + n):
+                        text[end - count:end] = s[length - 1 - c::length]
+                        end -= span
+                else:
+                    for i in range(count):
+                        top = size - i * length - j
+                        text[end - i - 1 - (n - 1) * span:end - i:span] = s[top - n:top]
+        for (k, row), cols in groups.items():
+            for first, n, span, j in halves[k]:
+                if bits := row >> j & ((1 << n) - 1):
+                    out |= _spread(bits, n, span) * cols << first
+        return out if text is None else out | int(text, 2)
 
 
 def bit_string(mask: int, width: int) -> str:

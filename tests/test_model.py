@@ -691,6 +691,55 @@ def test_a_lift_with_one_bit_flipped_has_no_preimage(build, monkeypatch):
 
 
 @_LADDERS
+def test_transpose_agrees_on_both_paths(build, monkeypatch):
+    # at every level: the empty, full, a one-bit and a random set, lifts from
+    # each lower level and each step's conditional value
+    s = build()
+    rng = random.Random(53)
+    b = PropSet(0, rng.getrandbits(s.width(0)), s.width(0))
+    values = [s.f_eval(b, PropSet(ev.level, ev.event, s.width(ev.level))) for ev in s.history]
+    for n in range(1, s.num_levels):
+        lvl, width = s.level(n), s.width(n)
+        sets = [0, (1 << width) - 1, 1 << rng.randrange(width), rng.getrandbits(width)]
+        sets += [s.lift(PropSet(m, rng.getrandbits(s.width(m)), s.width(m)), n).mask
+                 for m in range(n)]
+        sets += [s.lift(v, n).mask for v in values if v.level <= n]
+        for mask in sets:
+            bits, runs = _on_both_paths(monkeypatch, s, lambda: lvl.transpose(mask))
+            assert bits == runs == lvl._transpose_bits(mask), (n, mask)
+            # the swap is an involution
+            assert _on_both_paths(monkeypatch, s, lambda: lvl.transpose(runs)) == [mask, mask], n
+
+
+@_LADDERS
+def test_lift_sizes_count_the_lifted_worlds(build):
+    s = build()
+    for n in range(s.num_levels):
+        assert s._lift_sizes(n) == [s._lift_mask(1 << x, n, s.top).bit_count()
+                                    for x in range(s.width(n))], n
+
+
+def test_a_case_zero_step_past_the_cap_lifts_no_block(monkeypatch):
+    # re-processing p at level 2 would build 128 worlds; the cap refuses
+    # them from the blocks' sizes, before any block is lifted to the top
+    s = ModelState.from_atoms(["p", "q"], max_worlds=127)
+    s.step(s.h("p"))
+    s.step(s.lift(s.h("q"), 1))
+    lifts = []
+    real = ModelState._lift_mask
+
+    def spy(self, mask, level, target):
+        lifts.append((level, target))
+        return real(self, mask, level, target)
+
+    monkeypatch.setattr(ModelState, "_lift_mask", spy)
+    with pytest.raises(CapExceededError, match="level too wide: 4 → 8 → 32 → 128 > cap 127"):
+        s.step(s.lift(s.h("p"), 2))
+    assert lifts == [(0, 2)]    # the event's own lift only
+    assert s.num_levels == 3 and len(s.history) == 2
+
+
+@_LADDERS
 def test_lowest_and_image_test_agree_on_both_paths(build, monkeypatch):
     s = build()
     rng = random.Random(43)

@@ -260,7 +260,7 @@ def test_build_level_matches_sorted_reference(seed):
     for i in rng.sample(range(lvl.width), min(lvl.width, 48)):
         j = perm[i]
         assert lvl.transpose(1 << i) == 1 << j
-        assert lvl._transpose_rows(1 << i) == lvl._transpose_bits(1 << i) == 1 << j
+        assert lvl._transpose_runs(1 << i) == lvl._transpose_bits(1 << i) == 1 << j
 
 
 @given(st.integers(min_value=0, max_value=5_000))
@@ -276,7 +276,7 @@ def test_transpose_matches_bitwise_reference(seed):
     want = 0
     for i in bit_indices(mask):
         want |= 1 << perm[i]
-    for swap in (lvl.transpose, lvl._transpose_bits, lvl._transpose_rows):
+    for swap in (lvl.transpose, lvl._transpose_bits, lvl._transpose_runs):
         assert swap(mask) == want
         assert swap(want) == mask
 
@@ -342,6 +342,24 @@ def test_index_text_of_an_empty_set_builds_no_width_long_text():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+def test_empty_and_full_moves_on_a_wide_level_build_no_level_wide_text():
+    # one block of 2048 x 2048 worlds: 8388608 worlds.  Swapping or
+    # conditioning the empty set reads nothing, and the full set lifts
+    # without reading its rows
+    half = (1 << 2048) - 1
+    lvl = build_level(1, 4096, [(half, half << 2048)])
+    tracemalloc.start()
+    try:
+        assert lvl.transpose(0) == 0
+        assert lvl.conditional(0, True) == lvl.conditional(0, False) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16
+    assert lvl.lift((1 << 4096) - 1) == (1 << lvl.width) - 1
+    assert "_segments" not in lvl.__dict__
 
 
 @pytest.mark.parametrize("length", [1, 2, 3, 4, 5, 6, 7, 8, 12, 64, 320])
