@@ -275,10 +275,6 @@ class ModelState:
 
     # --- morphism, transpose, image test ---------------------------------
 
-    def mu(self, ps: PropSet) -> PropSet:
-        """Embed a level-``n`` set into level ``n + 1``."""
-        return self.lift(ps, ps.level + 1)
-
     def _lift_mask(self, mask: int, level: int, target: int) -> int:
         for lvl in self._levels[level + 1:target + 1]:
             mask = lvl.lift(mask)
@@ -305,7 +301,8 @@ class ModelState:
                        self.width(target))
 
     def transpose(self, ps: PropSet) -> PropSet:
-        """Image under the coordinate swap of the level's pairing."""
+        """Image under the coordinate swap of the level's pairing (public API;
+        the engine swaps through ``Level.transpose``)."""
         if ps.level < 1:
             raise ModelError("transpose is undefined at level 0")
         return PropSet(ps.level, self._levels[ps.level].transpose(ps.mask), ps.width)
@@ -371,7 +368,8 @@ class ModelState:
         return self.lift(PropSet(base, value, lvl.width), max(base, b.level, a.level))
 
     def is_defined(self, b: PropSet, a: PropSet) -> bool:
-        """Whether ``f_eval(b, a)`` would succeed without a further step."""
+        """Whether ``f_eval(b, a)`` would succeed without a further step: the
+        non-raising form of ``f_eval`` (public API)."""
         return self._conditional(b, a) is not None
 
     def f_eval(self, b: PropSet, a: PropSet) -> PropSet:
@@ -509,17 +507,6 @@ class ModelState:
         mu_b = self._levels[new].event_image_mask
         self._schedule_items += [(None, new), (mu_b, new),
                                  (mu_b ^ ((1 << self.width(new)) - 1), new)]
-
-    def pending_task_front(self, count: int = 8) -> list[PropSet]:
-        """The next concrete task-list entries (diagnostic view)."""
-        out = []
-        for mask, level in self._schedule_items:
-            if mask is None:
-                break
-            out.append(PropSet(level, mask, self.width(level)))
-            if len(out) >= count:
-                break
-        return out
 
     # --- snapshots and dumps -------------------------------------------------
 

@@ -10,10 +10,11 @@ denominator, so the extension runs on plain ``int`` products and sums and
 ``Fraction`` appears only where weights enter and leave.  A query extends
 the stored levels only up to the one below its set's level and reads the
 set's mass off it by rows: row ``x`` adds ``w[x]`` times its partners'
-weights in the set, scaled once per block half.  The set's level groups
-its rows by pattern (``Level.row_groups``), so each group costs one
-product: on a wide level, a rank-one run of rows, as every run of a
-conditional's value ``S | T(S)`` is, makes one group.
+weights in the set, scaled once per block half.  The set's level hands
+it as triples ``(k, pattern, rows)`` (``Level.row_groups``): the rows
+``rows`` of half ``k ^ 1`` all read ``pattern`` over half ``k``, so each
+triple costs one product.  On a wide level, a rank-one run of rows, as
+every run of a conditional's value ``S | T(S)`` is, makes one triple.
 A base measure with zeros is read as the limit under a vanishing uniform
 perturbation eps: ``init_measure`` then runs the same extension over
 leading terms ``(order, coeff)``, where products add orders, sums keep the
@@ -36,9 +37,16 @@ from .formula import And, Cond, Formula
 from .model import ModelError, ModelState
 from .worlds import bit_indices
 
+_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
+
 
 class MeasureError(ModelError):
     pass
+
+
+def _weigh(weights: list, bits: int):
+    """The total of ``weights`` at the set bits of ``bits``."""
+    return sum(compress(weights, format(bits, "b")[::-1].encode().translate(_FLAGS)))
 
 
 @dataclass(frozen=True)
@@ -178,9 +186,10 @@ class MeasureState:
 
         Level 0 sums its stored weights.  Above it, each row meeting the
         set adds ``w[x]`` times its partners' weights in the set, and each
-        half's total is scaled by the half's factor once.  The rows come in
-        groups that read one pattern (``Level.row_groups``): a group adds
-        its rows' weights times the pattern's, one product.
+        half's total is scaled by the half's factor once.  The rows come as
+        ``Level.row_groups`` triples ``(k, pattern, rows)``: a triple adds
+        the weight of ``rows`` in half ``k ^ 1`` times that of ``pattern`` in
+        half ``k``, one product.
         """
         n = value.level
         if n == 0:
@@ -188,11 +197,9 @@ class MeasureState:
             return sum(w[i] for i in bit_indices(value.mask)), self._denoms[0]
         self.extend_to(state, n - 1)
         halves, scale, factors = self._step(state, n - 1)
-        w = self._levels[n - 1]
         totals = [0] * len(halves)
-        for (k, pattern), rows in state.level(n).row_groups(value.mask):
-            if part := sum(compress(halves[k], pattern)):
-                totals[k] += sum(map(w.__getitem__, rows)) * part
+        for k, pattern, rows in state.level(n).row_groups(value.mask):
+            totals[k] += _weigh(halves[k ^ 1], rows) * _weigh(halves[k], pattern)
         mass = sum(f * t for f, t in zip(factors, totals) if t)
         return mass, self._denoms[n - 1] * scale
 

@@ -30,7 +30,6 @@ class LevelMismatchError(WorldsError):
 
 _BYTE_BITS = [tuple(b for b in range(8) if (v >> b) & 1) for v in range(256)]
 _BIT_AT = [bytes(v >> s & 1 for v in range(256)) for s in range(8)]
-_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
 _DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 
 # widest level transposed, lifted onto and pulled off bit by bit and read off
@@ -148,12 +147,6 @@ class PropSet:
     __and__ = inter
     __sub__ = minus
 
-    def __invert__(self) -> "PropSet":
-        return self.complement()
-
-    def __contains__(self, index: int) -> bool:
-        return bool(self.mask >> index & 1)
-
 
 @dataclass(frozen=True)
 class Level:
@@ -250,13 +243,14 @@ class Level:
         half ``2b + 1`` its Gamma."""
         if self.width > NARROW_WIDTH:
             return [(x, k) for *_, k, worlds in self._segments for x in worlds]
-        return [(x, k) for x, k, _ in self._row_cuts]
+        return [(x, k) for x, k, *_ in self._row_cuts]
 
     @functools.cached_property
     def _row_cuts(self) -> list:
-        # each row of a narrow level as (x, k, the slice of the level's bits it holds)
+        # each row of a narrow level as (x, k, its start, its ones, its bit in its half)
         where, runs, rows = self._tables
-        return [(x, 2 * where[x][1] + where[x][0], slice(*runs[x])) for x in rows]
+        return [(x, 2 * where[x][1] + where[x][0], runs[x][0],
+                 (1 << runs[x][1] - runs[x][0]) - 1, 1 << where[x][3]) for x in rows]
 
     def row_sizes(self, sizes=None) -> list:
         """Per world below, the total of ``sizes`` (one per world of this
@@ -297,26 +291,35 @@ class Level:
             row = chunk >> (low - low % length) & ((1 << length) - 1)
             yield seg, chunk, (firsts, row) if firsts * row == chunk else None
 
-    def row_groups(self, mask: int):
-        """The set ``mask`` as groups ``((k, pattern), rows)``: the worlds
-        ``rows`` below, pairing with half ``k``, whose rows all read
-        ``pattern``, a ``compress`` selector over that half.  A narrow level
-        groups all rows by (half, pattern).  A wide one reads a run at a
-        time: a run whose nonzero rows are all one row is one group; other
-        runs go row by row."""
+    def row_groups(self, mask: int) -> list:
+        """The set ``mask`` as triples ``(k, pattern, rows)``, one per distinct
+        half ``k`` and nonzero row ``pattern`` of the set: ``pattern`` is a
+        bitmask over the positions of half ``k``, and ``rows`` one over the
+        positions of half ``k ^ 1``, the rows that pair with half ``k`` and
+        read ``pattern``.  A narrow level reads each row as ``mask >> start
+        & ones``.  A wide one reads a run at a time: a run whose nonzero rows
+        all read one pattern gives one triple, and any other run is read a
+        row at a time (``_split_rows``)."""
         if self.width <= NARROW_WIDTH:
-            return _row_groups(self._row_cuts, _flags(mask, self.width))
-        out = []
-        for (_, _, count, length, _, _, _, k, worlds), chunk, factors in self._runs_met(mask):
-            if factors:
-                firsts, row = factors
-                out.append(((k, _flags(row, length)),
-                            compress(worlds, _gather(firsts, count, length))))
-            else:
-                out += _row_groups([(x, k, slice(i * length, (i + 1) * length))
-                                    for i, x in enumerate(worlds)],
-                                   _flags(chunk, count * length))
-        return out
+            reads = [(k, mask >> start & ones, bit) for _, k, start, ones, bit in self._row_cuts]
+        else:
+            reads, at = [], self._half_runs[1]
+            for seg, chunk, factors in self._runs_met(mask):
+                _, start, count, length, _, _, repunit, k, _ = seg
+                a = at[start]
+                if factors:
+                    firsts, row = factors
+                    rows = ((1 << count) - 1 if firsts == repunit else
+                            int(_gather(firsts, count, length)[::-1].translate(_DIGITS), 2))
+                    reads.append((k, row, rows << a))
+                else:
+                    reads += [(k, int(text, 2), rows << a)
+                              for text, rows in _split_rows(chunk, count, length).items()]
+        groups: dict = {}
+        for k, row, rows in reads:
+            if row:
+                groups[k, row] = groups.get((k, row), 0) | rows
+        return [(k, row, rows) for (k, row), rows in groups.items()]
 
     def conditional(self, below: int, direct: bool) -> int:
         """``S | T(S)`` with ``S`` the set ``below`` of the previous level
@@ -401,12 +404,11 @@ class Level:
         """Image of ``mask`` under the swap ``(x, y) -> (y, x)``; the empty
         set's is known without reading the level.
 
-        A narrow level moves its set bits one by one.  A wide one moves the
-        runs of rows the set meets.  A run whose rows ``rows`` all read one
-        pattern over half ``k`` swaps to the pattern's rows of half ``k``,
-        each reading ``rows``' positions: one product per run of half ``k``
-        and distinct (half, pattern).  Any other run is copied off its bit
-        string a column or a row at a time.
+        A narrow level moves its set bits one by one.  A wide one reads the
+        set as ``row_groups`` triples and writes each swapped: a triple ``(k,
+        pattern, rows)`` becomes ``(k ^ 1, rows, pattern)``, the pattern's
+        rows of half ``k`` each reading ``rows``, one product per run of half
+        ``k`` that the pattern meets.
         """
         if not mask:
             return 0
@@ -425,39 +427,12 @@ class Level:
         return out
 
     def _transpose_runs(self, mask: int) -> int:
-        halves, at = self._half_runs
-        out, groups, text = 0, {}, None
-        for (_, start, count, length, _, _, repunit, k, _), chunk, factors in self._runs_met(mask):
-            a = at[start]
-            if factors:
-                # the run's rows are the columns its pattern's rows swap to
-                firsts, row = factors
-                cols = ((1 << count) - 1 if firsts == repunit else
-                        int(_gather(firsts, count, length)[::-1].translate(_DIGITS), 2))
-                groups[k, row] = groups.get((k, row), 0) | cols << a
-                continue
-            # column c of the run is row c of half k from the run's position
-            # on, copied a column or, when the run has fewer rows, a row at a
-            # time.  Both texts hold the top bit first, so none is reversed
-            if text is None:
-                text = bytearray(b"0") * self.width
-            size = count * length
-            s = format(chunk, "b").zfill(size).encode()
+        halves, out = self._half_runs[0], 0
+        for k, pattern, rows in self.row_groups(mask):
             for first, n, span, j in halves[k]:
-                end = self.width - first - a
-                if n <= count:
-                    for c in range(j, j + n):
-                        text[end - count:end] = s[length - 1 - c::length]
-                        end -= span
-                else:
-                    for i in range(count):
-                        top = size - i * length - j
-                        text[end - i - 1 - (n - 1) * span:end - i:span] = s[top - n:top]
-        for (k, row), cols in groups.items():
-            for first, n, span, j in halves[k]:
-                if bits := row >> j & ((1 << n) - 1):
-                    out |= _spread(bits, n, span) * cols << first
-        return out if text is None else out | int(text, 2)
+                if bits := pattern >> j & ((1 << n) - 1):
+                    out |= _spread(bits, n, span) * rows << first
+        return out
 
 
 def bit_string(mask: int, width: int) -> str:
@@ -507,20 +482,16 @@ def _gather(bits: int, count: int, length: int) -> bytearray:
     return out
 
 
-def _flags(mask: int, width: int) -> bytes:
-    """``mask``'s bits as ``compress`` selectors, bit 0 first."""
-    return bit_string(mask, width).encode().translate(_FLAGS)
-
-
-def _row_groups(rows, flags):
-    """``((k, pattern), worlds)`` for each distinct (half, row pattern) of the
-    set whose bits ``flags`` holds, ``rows`` giving each row as ``(x, k,
-    its slice of flags)``.  The key needs ``k``: halves of one length can
-    share a slice but not weights."""
-    groups: dict = {}
-    for x, k, cut in rows:
-        groups.setdefault((k, flags[cut]), []).append(x)
-    return groups.items()
+def _split_rows(chunk: int, count: int, length: int) -> dict:
+    """The ``count`` rows of ``length`` bits in ``chunk`` grouped by their
+    text: each distinct row's binary digits, top bit first, with the bitmask
+    of the rows that read it.  The run's text is sliced a row at a time, so
+    only the distinct rows are converted to ints."""
+    text, groups = format(chunk, "b").zfill(count * length), {}
+    for i, end in enumerate(range(len(text), 0, -length)):
+        row = text[end - length:end]
+        groups[row] = groups.get(row, 0) | 1 << i
+    return groups
 
 
 def build_level(index: int, prev_width: int, blocks) -> Level:

@@ -129,9 +129,9 @@ def _check_family_exhaustive(s, step_idx):
             a_n = s.lift(orient, n)
             for c in range(1 << bw):
                 b_n = s.lift(PropSet(base, c, bw), n)
-                lhs = s.f_eval(s.mu(b_n), s.mu(a_n))
+                lhs = s.f_eval(s.lift(b_n, n + 1), s.lift(a_n, n + 1))
                 rhs = s.f_eval(b_n, a_n)
-                lhs, rhs = aligned(lhs, s.mu(rhs) if rhs.level == n else rhs)
+                lhs, rhs = aligned(lhs, s.lift(rhs, n + 1) if rhs.level == n else rhs)
                 assert lhs == rhs
 
 

@@ -1,6 +1,7 @@
 import json
 import random
 from fractions import Fraction
+from itertools import takewhile
 
 import pytest
 from hypothesis import given, strategies as st
@@ -13,11 +14,16 @@ from dmbl.model import (CapExceededError, DegenerateEventError,
                         UndefinedConditionalError, default_task_list,
                         seed_task_list)
 from dmbl.probability import BaseMeasure, init_measure, prob
-from dmbl.worlds import PropSet
+from dmbl.worlds import PropSet, bit_indices
 
 from oracle import NotDefined, drive_from_state, to_set
 
 APP_TASKS = [0b011, 0b100, 0b110, 0b001, 0b101, 0b010]
+
+
+def _task_front(s, count):
+    # the next concrete task-list entries as (mask, level), up to the first marker
+    return list(takewhile(lambda item: item[0] is not None, s._schedule_items))[:count]
 
 
 def test_init_one_atom():
@@ -37,7 +43,7 @@ def test_init_explicit_worlds_with_task_list():
     s = ModelState.from_worlds(["a", "b", "c"], schedule="canonical",
                                task_list=APP_TASKS)
     assert s.width(0) == 3
-    assert [ps.mask for ps in s.pending_task_front()] == APP_TASKS
+    assert [mask for mask, _ in _task_front(s, 8)] == APP_TASKS
 
 
 def test_init_empty_base_rejected():
@@ -212,7 +218,7 @@ def test_atom_assignments_commute_with_embedding():
     s.step(s.lift(s.h("q"), 1))
     for atom in ("p", "q"):
         for n in range(s.top):
-            assert s.mu(s.lift(s.h(atom), n)) == s.lift(s.h(atom), n + 1)
+            assert s.lift(s.lift(s.h(atom), n), n + 1) == s.lift(s.h(atom), n + 1)
 
 
 def test_ensure_canonical_advances_cursor():
@@ -272,9 +278,9 @@ def test_canonical_marker_expands_to_the_new_sets_in_order():
     assert expected == [4, 11, 8, 7, 5, 10, 9, 6]
     ev = s.history[3]
     first = s.image_test(PropSet(ev.level, ev.event, s.width(ev.level)), 1)
-    front = s.pending_task_front(6)
-    assert all(ps.level == 1 for ps in front)
-    assert [first.mask, first.complement().mask] + [ps.mask for ps in front] == expected
+    front = _task_front(s, 6)
+    assert all(level == 1 for _, level in front)
+    assert [first.mask, first.complement().mask] + [mask for mask, _ in front] == expected
 
 
 def test_decide_with_conditional_valued_event():
@@ -322,7 +328,7 @@ def test_canonical_task_list_reappends_processed_pair():
                                task_list=APP_TASKS)
     s.step()
     # lifted tail first, up to the lazy new-entries marker
-    assert [ps.mask for ps in s.pending_task_front(16)] == APP_TASKS[2:]
+    assert [mask for mask, _ in _task_front(s, 16)] == APP_TASKS[2:]
     # the processed pair reappears at the very back, at the new level
     mask, level = s._schedule_items[-2]
     assert (mask, level) == (s.level(1).event_image_mask, 1)
@@ -570,7 +576,7 @@ def _interleaved_ladder():
 def _by_definition(s, b, base, direct):
     # lift to the defining level, cut to one side, transpose, join
     image = PropSet(base, s.level(base).event_image_mask, s.width(base))
-    side = s.lift(b, base) & (image if direct else ~image)
+    side = s.lift(b, base) & (image if direct else image.complement())
     return side | s.transpose(side)
 
 
@@ -604,7 +610,7 @@ def test_conditional_by_rows_matches_definition(build, ladder, narrow, monkeypat
                     assert lvl.conditional(below, direct) == want.mask, (base, lower)
                     if base in defining:
                         a = defining[base]
-                        assert s.f_eval(b, a if direct else ~a) == want, (base, lower)
+                        assert s.f_eval(b, a if direct else a.complement()) == want, (base, lower)
 
 
 @pytest.mark.parametrize("build", [_depth_four_ladder, _case_zero_ladder,
@@ -622,7 +628,7 @@ def test_conditional_at_or_above_the_defining_level(build):
         width = s.width(base)
         for _ in range(3):
             b = PropSet(base, rng.getrandbits(width), width)
-            for direct, event in ((True, a), (False, ~a)):
+            for direct, event in ((True, a), (False, a.complement())):
                 want = _by_definition(s, b, base, direct)
                 assert s.f_eval(b, event) == want
                 assert s.f_eval(s.lift(b, s.top), event) == s.lift(want, s.top)
@@ -709,6 +715,33 @@ def test_transpose_agrees_on_both_paths(build, monkeypatch):
             assert bits == runs == lvl._transpose_bits(mask), (n, mask)
             # the swap is an involution
             assert _on_both_paths(monkeypatch, s, lambda: lvl.transpose(runs)) == [mask, mask], n
+
+
+@_LADDERS
+def test_row_groups_give_the_set_by_distinct_rows(build, monkeypatch):
+    # at every level, bit by bit and by runs: one triple (k, pattern, rows)
+    # per distinct half and nonzero row, each field inside its half, and the
+    # pairs the triples name make up the set again
+    s = build()
+    rng = random.Random(59)
+    for n in range(1, s.num_levels):
+        lvl, below, width = s.level(n), s.width(n - 1), s.width(n)
+        halves = [half for block in lvl.blocks for half in block]
+        index = {pair: i for i, pair in enumerate(lvl.pairs)}
+        lifted = lvl.lift(rng.getrandbits(below))
+        value = lvl.conditional(rng.getrandbits(below), rng.random() < 0.5)
+        for mask in [0, (1 << width) - 1, rng.getrandbits(width), lifted, value, lifted | value]:
+            bits, runs = _on_both_paths(monkeypatch, s, lambda: lvl.row_groups(mask))
+            assert sorted(bits) == sorted(runs), (n, mask)
+            assert len({(k, pattern) for k, pattern, _ in runs}) == len(runs), (n, mask)
+            got = 0
+            for k, pattern, rows in runs:
+                assert 0 < pattern < 1 << len(halves[k]), (n, mask)
+                assert 0 < rows < 1 << len(halves[k ^ 1]), (n, mask)
+                for x in bit_indices(rows):
+                    for y in bit_indices(pattern):
+                        got |= 1 << index[halves[k ^ 1][x], halves[k][y]]
+            assert got == mask, (n, mask)
 
 
 @_LADDERS

@@ -14,7 +14,7 @@ from dmbl.probability import (BaseMeasure, MeasureError, MeasureState,
 from dmbl.worlds import NARROW_WIDTH, PropSet, bit_indices, mask_of
 
 from genformulas import random_formula
-from oracle import drive_from_state
+from oracle import drive_from_state, to_set
 from test_model import _interleaved_ladder, _on_both_paths
 
 APP_TASKS = [0b011, 0b100, 0b110, 0b001, 0b101, 0b010]
@@ -336,7 +336,7 @@ def _repeated_row_sets(s, rng):
         for _ in range(3):
             b = PropSet(ev.level, rng.getrandbits(width), width)
             yield s.f_eval(b, a)
-            yield s.f_eval(b, ~a)
+            yield s.f_eval(b, a.complement())
 
 
 @pytest.mark.parametrize("measure", [MeasureState, _LeadingMeasure])
@@ -360,15 +360,15 @@ def test_weight_of_sets_with_repeated_rows(build, measure):
 
 @pytest.fixture
 def row_walks(monkeypatch):
-    """The widths handed to the per-row grouping, which a rank-one run skips."""
+    """The widths of the runs read a row at a time, which a rank-one run skips."""
     widths = []
-    real = worlds._row_groups
+    real = worlds._split_rows
 
-    def spy(rows, flags):
-        widths.append(len(flags))
-        return real(rows, flags)
+    def spy(chunk, count, length):
+        widths.append(count * length)
+        return real(chunk, count, length)
 
-    monkeypatch.setattr(worlds, "_row_groups", spy)
+    monkeypatch.setattr(worlds, "_split_rows", spy)
     return widths
 
 
@@ -441,6 +441,25 @@ def test_union_reads_one_run_row_by_row(row_walks):
     f = parse("(((q|p)|q)|~p) \\/ ((q|p)|q)")
     assert prob(s, init_measure(s, BaseMeasure.uniform(s)), f) == Fraction(99, 128)
     assert s.width(s.top) == 128 and row_walks == [16]
+
+
+@pytest.mark.parametrize("text,width,want", [
+    ("(((((q|p)|q)|~p) \\/ ((q|p)|q))|p)", 128, Fraction(59, 64)),
+    ("((((q|p)|~q) \\/ (p|~(p /\\ q)))|p /\\ q)", 384, Fraction(1, 2)),
+])
+def test_swapping_runs_of_distinct_rows_matches_the_oracle(text, width, want, row_walks):
+    # the consequent's value has a run with distinct nonzero rows on the
+    # defining level, so the conditional swaps that run read row by row
+    s = ModelState.from_atoms(["p", "q"])
+    f = parse(text)
+    assert prob(s, init_measure(s, BaseMeasure.uniform(s)), f) == want
+    assert s.width(s.top) == width
+    b, a = (assign(s, g).value for g in (f.cons, f.ante))
+    row_walks.clear()
+    value = s.f_eval(b, a)
+    assert row_walks
+    om, maps = drive_from_state(s)
+    assert to_set(maps, s.lift(value, s.top)) == om.f(to_set(maps, b), to_set(maps, a))
 
 
 def test_prob_stores_levels_below_the_top_only():

@@ -69,9 +69,9 @@ def test_transpose_level_zero_rejected():
 
 def test_mu_golden_values():
     s = three_world_state()
-    assert s.mu(s.from_indices(0, [0])).indices() == [0]       # a -> (a,c)
-    assert s.mu(s.from_indices(0, [2])).indices() == [2, 3]    # c -> (c,a),(c,b)
-    assert s.mu(s.empty(0)).is_empty
+    assert s.lift(s.from_indices(0, [0]), 1).indices() == [0]       # a -> (a,c)
+    assert s.lift(s.from_indices(0, [2]), 1).indices() == [2, 3]    # c -> (c,a),(c,b)
+    assert s.lift(s.empty(0), 1).is_empty
 
 
 def test_lift_identity_and_top():
@@ -112,13 +112,13 @@ def test_morphism_laws(seed):
     w = s.width(n)
     a = PropSet(n, rng.randrange(1 << w), w)
     b = PropSet(n, rng.randrange(1 << w), w)
-    assert s.mu(a & b) == s.mu(a) & s.mu(b)
-    assert s.mu(a | b) == s.mu(a) | s.mu(b)
-    assert s.mu(a.complement()) == s.mu(a).complement()
-    assert s.mu(s.full(n)) == s.full(n + 1)
+    assert s.lift(a & b, n + 1) == s.lift(a, n + 1) & s.lift(b, n + 1)
+    assert s.lift(a | b, n + 1) == s.lift(a, n + 1) | s.lift(b, n + 1)
+    assert s.lift(a.complement(), n + 1) == s.lift(a, n + 1).complement()
+    assert s.lift(s.full(n), n + 1) == s.full(n + 1)
     if a != b:
-        assert s.mu(a) != s.mu(b)  # injective
-    assert s.image_test(s.mu(a), n) == a
+        assert s.lift(a, n + 1) != s.lift(b, n + 1)  # injective
+    assert s.image_test(s.lift(a, n + 1), n) == a
 
 
 @given(st.integers(min_value=0, max_value=2_000))
@@ -165,7 +165,7 @@ def test_mu_matches_naive_reference(seed):
     n = rng.randrange(s.top)
     w = s.width(n)
     a = PropSet(n, rng.randrange(1 << w), w)
-    assert to_set(maps, s.mu(a)) == om.mu(n, to_set(maps, a))
+    assert to_set(maps, s.lift(a, n + 1)) == om.mu(n, to_set(maps, a))
 
 
 def _reference_level(prev_width, blocks):
@@ -360,6 +360,25 @@ def test_empty_and_full_moves_on_a_wide_level_build_no_level_wide_text():
     assert peak < 1 << 16
     assert lvl.lift((1 << 4096) - 1) == (1 << lvl.width) - 1
     assert "_segments" not in lvl.__dict__
+
+
+def test_swapping_a_run_of_distinct_rows_builds_no_level_wide_copy():
+    # the same 8388608 worlds in two runs of 2048 rows.  Rows 0 and 1 of the
+    # Pi run differ, so that run is read a row at a time; the swap stays
+    # under one byte per world of the level
+    half = (1 << 2048) - 1
+    lvl = build_level(1, 4096, [(half, half << 2048)])
+    # a rank-one swap first builds the level's runs outside the trace
+    assert lvl.transpose(lvl.lift(1)) == lvl._transpose_bits(lvl.lift(1))
+    mask = half | ((1 << 1024) - 1) << 2048
+    tracemalloc.start()
+    try:
+        swapped = lvl.transpose(mask)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < lvl.width
+    assert swapped == lvl._transpose_bits(mask) and lvl.transpose(swapped) == mask
 
 
 @pytest.mark.parametrize("length", [1, 2, 3, 4, 5, 6, 7, 8, 12, 64, 320])
