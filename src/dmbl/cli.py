@@ -13,6 +13,7 @@ import json
 import sys
 from dataclasses import replace
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _escape  # json.dumps' C escaper
 
 from . import __version__
 from .config import ConfigError, EngineConfig, build_measure, build_state, load_config
@@ -67,9 +68,39 @@ def _make_config(args) -> EngineConfig:
     return replace(cfg, **flags)
 
 
+def _json_text(value, indent: str = "") -> str:
+    """``json.dumps(value, indent=2)``, without the standard library's
+    pure-Python encoder, which any ``indent`` selects.
+
+    Reads ``dict`` (with ``str`` keys), ``list``, ``str``, ``int``,
+    ``float``, ``bool`` and ``None``; anything else raises ``TypeError``.
+    """
+    t = type(value)
+    if t is str:
+        return _escape(value)
+    if t is dict or t is list:
+        if not value:
+            return "{}" if t is dict else "[]"
+        inner = indent + "  "
+        if t is dict:
+            items = [_escape(k) + ": " + _json_text(v, inner) for k, v in value.items()]
+            return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
+        items = [_json_text(v, inner) for v in value]
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
+    if t is bool:
+        return "true" if value else "false"
+    if value is None:
+        return "null"
+    if t is int:
+        return int.__repr__(value)
+    if t is float:
+        return json.dumps(value)
+    raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
+
+
 def _emit(cfg: EngineConfig, report: dict, text_lines) -> None:
     if cfg.output == "json":
-        print(json.dumps(report, indent=2, sort_keys=False))
+        print(_json_text(report))
     else:
         for line in text_lines:
             print(line)
@@ -298,7 +329,7 @@ def cmd_dump_model(cfg, args) -> int:
         v = assign(state, f)
         state.step(v.value)
     # the text report is the JSON report
-    print(json.dumps(state.to_json(), indent=2))
+    print(_json_text(state.to_json()))
     return 0
 
 
@@ -379,6 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "probabilities, proof checking")
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="command", required=True)
+    ap.commands = sub.choices  # command name -> its parser, for ``_parse_args``
     for name, help_text, positionals, handler in COMMANDS:
         p = sub.add_parser(name, help=help_text)
         for arg in positionals:
@@ -392,9 +424,23 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _parse_args(argv: list):
+    """``build_parser().parse_args(argv)``, calling the parser of the
+    command that ``argv[0]`` names directly, without the top level's pass."""
+    ap = build_parser()
+    sub = ap.commands.get(argv[0]) if argv else None
+    if sub is None:
+        return ap.parse_args(argv)
+    args, extra = sub.parse_known_args(argv[1:])
+    if extra:
+        ap.error(f"unrecognized arguments: {' '.join(extra)}")
+    args.command = argv[0]
+    return args
+
+
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parse_args(sys.argv[1:] if argv is None else list(argv))
         return args.func(_make_config(args), args)
     except _CAUGHT as exc:
         prefix = next(p for cls, p in ERRORS if isinstance(exc, cls))

@@ -254,15 +254,11 @@ _BINARY = {Indep: (" * ", 0, 0, 1), Iff: (" <-> ", 1, 1, 2), Implies: (" -> ", 2
            Or: (" \\/ ", 3, 3, 4), And: (" /\\ ", 4, 4, 5)}
 _UNARY = {node: tok for tok, node in _PREFIX.items()}
 _LEVEL_UNARY = 5
-# the parser's reading of ``_BINARY``: per level, the connectives at it or
-# tighter, tightest first, as (token, node, level of the right operand)
-_TIGHTEST = sorted(_BINARY.items(), key=lambda item: item[1][1], reverse=True)
-_CONNECTIVES_FROM = tuple(
-    tuple((symbol.strip(), node, right) for node, (symbol, at, _, right) in _TIGHTEST
-          if at >= level) for level in range(_LEVEL_UNARY + 1))
+# the parser's reading of ``_BINARY``: token -> (node, level, right operand's level)
+_INFIX = {symbol.strip(): (node, at, right)
+          for node, (symbol, at, _, right) in _BINARY.items()}
 # every token that is not an identifier, end of input included
-_SYMBOLS = frozenset(
-    (*_PREFIX, *(tok for tok, _, _ in _CONNECTIVES_FROM[0]), "|", "(", ")", ""))
+_SYMBOLS = frozenset((*_PREFIX, *_INFIX, "|", "(", ")", ""))
 
 
 class _Parser:
@@ -291,17 +287,23 @@ class _Parser:
     def formula(self, level: int = 0) -> Formula:
         """A formula whose binary connectives all sit at ``level`` or tighter.
 
-        After the first operand, each level from the tightest out takes its
-        connectives in turn and then restores the nesting depth the formula
-        started at, so each level's chain counts only its own connectives.
+        Each right operand takes every connective tighter than its own, so
+        within one call the connectives only get looser.  A change of
+        connective restores the nesting depth the call started at, so each
+        chain counts only its own connectives.
         """
         depth = self.depth
         out = self.unary()
-        for tok, node, right in _CONNECTIVES_FROM[level]:
-            while self.tokens[self.pos] == tok:
-                self.nest()
-                out = node(out, self.formula(right))
-            self.depth = depth
+        last = None
+        while (tok := self.tokens[self.pos]) in _INFIX:
+            node, at, right = _INFIX[tok]
+            if at < level:
+                break
+            if tok != last:
+                self.depth, last = depth, tok
+            self.nest()
+            out = node(out, self.formula(right))
+        self.depth = depth
         return out
 
     def unary(self) -> Formula:
