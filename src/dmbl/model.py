@@ -330,13 +330,16 @@ class ModelState:
             mask, level = pulled, level - 1
         return level, mask
 
-    def _find_match(self, mask: int, level: int) -> Optional[tuple[int, bool]]:
+    def _find_match(self, mask: int, level: int,
+                    low: Optional[tuple[int, int]] = None) -> Optional[tuple[int, bool]]:
         """Latest processed event equal to the set ``mask`` at ``level`` or to its complement.
 
         Lifting is an injective Boolean morphism, so two sets are equal exactly
         when their lowest preimages are, and complements have complementary ones.
+        ``low`` is the set's lowest preimage when the caller has it already.
         """
-        low = self._lowest(mask, level)
+        if low is None:
+            low = self._lowest(mask, level)
         comp = (low[0], low[1] ^ ((1 << self.width(low[0])) - 1))
         for ev in reversed(self.history):
             if ev.lowest in (low, comp):
@@ -417,11 +420,11 @@ class ModelState:
             raise DegenerateEventError(
                 "conditioning on the empty or full set needs no step")
 
-        match = self._find_match(event.mask, event.level)
+        lowest = self._lowest(event.mask, event.level)
+        match = self._find_match(event.mask, event.level, lowest)
         if match is None:
             blocks = [(b_mask, b_mask ^ full)]
             case, nu = 1, None
-            lowest = self._lowest(event.mask, event.level)
             width = 2 * b_mask.bit_count() * (b_mask ^ full).bit_count()
         else:
             nu, direct = match
@@ -513,9 +516,14 @@ class ModelState:
     def snapshot(self) -> "ModelState":
         """A read-only view of the levels and history built so far.
 
-        Level tables are shared (they never mutate); the level and history
-        lists are copied, so later steps on the owner do not show through.
+        Levels are shared; the level and history lists are copied, so later
+        steps on the owner do not show through.  The shared levels are
+        marked read-many (``Level.read_many``), for the owner too, but not
+        those it builds later: their tables only gain entries, each equal to
+        what the level computes without them.
         """
+        for lvl in self._levels[1:]:
+            lvl.read_many()
         clone = object.__new__(ModelState)
         clone.__dict__ = dict(self.__dict__)
         clone._levels = list(self._levels)

@@ -8,6 +8,12 @@ complementary side (Gamma x Pi).  A set of worlds is a bitmask over that
 index space.  ``Level`` alone reads that layout and picks, by its width,
 how each operation on it runs: lifts by ``mu``, pulls, the coordinate swap,
 a conditional's value and the rows a measure weighs a set by.
+
+A read-many level (``Level.read_many``, the levels of a snapshot) answers
+each of those maps whose source mask is at most ``NARROW_WIDTH`` bits wide
+by byte lookup: the map preserves unions, so its value is the OR of its
+values on the mask's bytes, each computed once.  A fresh model keeps the
+direct path, since it is read too few times to repay filling the tables.
 """
 
 from __future__ import annotations
@@ -168,6 +174,33 @@ class Level:
     prev_width: Optional[int] = None
     blocks: Optional[list] = None
     masks: Optional[list] = None
+
+    def read_many(self) -> None:
+        """Answer this level's maps whose source mask has at most
+        ``NARROW_WIDTH`` bits by byte lookup from now on: ``lift`` and
+        ``conditional`` when the level below is that narrow, ``transpose``
+        and ``conditional_here`` when this one is.
+
+        Each preserves unions, so a ``_ByteMap`` answers it as the OR of its
+        values on the mask's bytes.  It is set as an instance attribute of
+        the method's name, which shadows the method, and fills its tables
+        by calling the method on first read.  An unmarked level runs the
+        methods with no check at all.  Reading every byte value fills at
+        most 256 entries per byte position per map, and no entry is wider
+        than this level, at most ``prev_width**2 // 2`` bits: 2048 for a
+        64-world level below.  Racing first reads store equal entries.
+        Snapshots mark their levels: a model built and read once is faster
+        without tables, which cost more to fill than a few reads save.
+        """
+        maps = {}
+        if self.prev_width <= NARROW_WIDTH:
+            maps.update(lift=_ByteMap(functools.partial(Level.lift, self), self.prev_width),
+                        conditional=_BySide(Level.conditional, self, self.prev_width))
+        if self.width <= NARROW_WIDTH:
+            maps.update(transpose=_ByteMap(functools.partial(Level.transpose, self), self.width),
+                        conditional_here=_BySide(Level.conditional_here, self, self.width))
+        for name, byte_map in maps.items():
+            vars(self).setdefault(name, byte_map)
 
     @property
     def event_image_mask(self) -> int:
@@ -492,6 +525,48 @@ def _split_rows(chunk: int, count: int, length: int) -> dict:
         row = text[end - length:end]
         groups[row] = groups.get(row, 0) | 1 << i
     return groups
+
+
+class _ByteTable(dict):
+    """One byte position's values under a map: entry ``v`` is its value on
+    ``v << shift``, computed by ``image`` on its first read."""
+
+    __slots__ = ("image", "shift")
+
+    def __init__(self, image, shift: int):
+        super().__init__()
+        self.image, self.shift = image, shift
+
+    def __missing__(self, byte: int) -> int:
+        value = self[byte] = self.image(byte << self.shift)
+        return value
+
+
+class _ByteMap(list):
+    """A map on masks of ``width`` bits that preserves unions, answered as the
+    OR of its values on the mask's bytes, one ``_ByteTable`` per byte."""
+
+    def __init__(self, image, width: int):
+        super().__init__(_ByteTable(image, shift) for shift in range(0, width, 8))
+
+    def __call__(self, mask: int) -> int:
+        out = 0
+        for table in self:
+            out |= table[mask & 255]
+            mask >>= 8
+        return out
+
+
+class _BySide(tuple):
+    """``method(level, mask, direct)`` on masks of ``width`` bits, answered by
+    one ``_ByteMap`` per side: ``direct`` False, then True."""
+
+    def __new__(cls, method, level: Level, width: int):
+        return super().__new__(cls, (_ByteMap(functools.partial(method, level, direct=d), width)
+                                     for d in (False, True)))
+
+    def __call__(self, mask: int, direct: bool) -> int:
+        return self[direct](mask)
 
 
 def build_level(index: int, prev_width: int, blocks) -> Level:

@@ -1,3 +1,4 @@
+import functools
 import json
 import random
 from fractions import Fraction
@@ -790,3 +791,121 @@ def test_lowest_and_image_test_agree_on_both_paths(build, monkeypatch):
             bits, runs = _on_both_paths(monkeypatch, s, lambda: s.image_test(x, src))
             assert bits == runs
             assert (runs is not None) == (src >= s._lowest(x.mask, top)[0])
+
+
+def test_a_fresh_event_is_lowered_once_per_step(monkeypatch):
+    lowered = []
+    real = ModelState._lowest
+
+    def spy(self, mask, level):
+        lowered.append(level)
+        return real(self, mask, level)
+
+    monkeypatch.setattr(ModelState, "_lowest", spy)
+    s = ModelState.from_atoms(["p", "q"])
+    for atom, case in (("p", 1), ("q", 1), ("p", 0)):
+        event = s.lift(s.h(atom), s.top)
+        lowered.clear()
+        s.step(event)
+        assert s.history[-1].case == case
+        assert lowered == [event.level]
+
+
+# --- read-many levels answer by byte lookup --------------------------------
+
+
+_READ_MANY_MODELS = ["((((q|p)|q)|p /\\ q)|p \\/ q)", "(((q|p)|q)|~p)"]
+
+
+@functools.cache
+def _marked_and_plain(text):
+    # a snapshot of the model ``text`` builds, and the same model unmarked
+    marked, plain = ModelState.from_atoms(["p", "q"]), ModelState.from_atoms(["p", "q"])
+    assign(marked, parse(text))
+    assign(plain, parse(text))
+    snap = marked.snapshot()
+    assert sorted(_byte_maps(snap.level(1))) == ["conditional", "conditional_here", "lift",
+                                                 "transpose"]
+    return snap, plain
+
+
+def _byte_maps(lvl):
+    # the maps a level answers by lookup, by name
+    return {name: vars(lvl)[name] for name in ("lift", "conditional", "transpose",
+                                               "conditional_here") if name in vars(lvl)}
+
+
+def _source_masks(width):
+    # the empty mask, masks inside one byte and masks nonzero in every byte
+    sizes = [min(8, width - j) for j in range(0, width, 8)]
+    one_byte = st.integers(0, len(sizes) - 1).flatmap(
+        lambda j: st.integers(1, (1 << sizes[j]) - 1).map(lambda v: v << 8 * j))
+    every_byte = st.tuples(*(st.integers(1, (1 << n) - 1) for n in sizes)).map(
+        lambda vs: sum(v << 8 * j for j, v in enumerate(vs)))
+    return st.one_of(st.just(0), one_byte, every_byte)
+
+
+@pytest.mark.parametrize("text", _READ_MANY_MODELS, ids=["depth-four", "case-zero"])
+@given(data=st.data())
+def test_read_many_levels_answer_as_unmarked_ones(text, data):
+    snap, plain = _marked_and_plain(text)
+    for n in range(1, snap.num_levels):
+        lvl, ref = snap.level(n), plain.level(n)
+        maps = _byte_maps(lvl)
+        if "lift" in maps:
+            below = data.draw(_source_masks(lvl.prev_width))
+            assert lvl.lift(below) == ref.lift(below), (n, below)
+            for direct in (False, True):
+                assert lvl.conditional(below, direct) == ref.conditional(below, direct)
+        if "transpose" in maps:
+            mask = data.draw(_source_masks(lvl.width))
+            assert lvl.transpose(mask) == ref.transpose(mask), (n, mask)
+            for direct in (False, True):
+                assert lvl.conditional_here(mask, direct) == ref.conditional_here(mask, direct)
+
+
+def test_only_levels_a_snapshot_shares_carry_byte_maps():
+    every_map = ["conditional", "conditional_here", "lift", "transpose"]
+    s = ModelState.from_atoms(["p", "q"])
+    m = init_measure(s, BaseMeasure.from_weights([Fraction(1, 4)] * 4))
+    assert prob(s, m, parse("((q|p)|q)")) == Fraction(3, 4)
+    assert all(not vars(s.level(n)).keys() & set(every_map) for n in range(s.num_levels))
+    snap = s.snapshot()
+    assert [sorted(_byte_maps(snap.level(n))) for n in range(3)] == [[], every_map, every_map]
+    # the owner shares the marked levels; a level it builds later is unmarked
+    assert all(s.level(n) is snap.level(n) for n in range(3))
+    assign(s, parse("(((q|p)|q)|~p)"))
+    assert [s.width(n) for n in range(s.num_levels)] == [4, 8, 32, 128]
+    assert not _byte_maps(s.level(3)) and snap.num_levels == 3
+    # the maps from 32 worlds onto 128 are looked up, the swap on 128 is not;
+    # on the depth-four ladder nothing from 384 worlds onto 40960 is
+    assert sorted(_byte_maps(s.snapshot().level(3))) == ["conditional", "lift"]
+    deep, _ = _marked_and_plain(_READ_MANY_MODELS[0])
+    assert [deep.width(n) for n in range(deep.num_levels)] == [4, 8, 32, 384, 40960]
+    assert not _byte_maps(deep.level(4))
+    for lvl in [s.level(n) for n in range(1, 4)] + [deep.level(n) for n in range(1, 5)]:
+        maps = _byte_maps(lvl)
+        assert ("lift" in maps) == ("conditional" in maps) == (
+            lvl.prev_width <= worlds.NARROW_WIDTH)
+        assert ("transpose" in maps) == ("conditional_here" in maps) == (
+            lvl.width <= worlds.NARROW_WIDTH)
+
+
+@pytest.mark.parametrize("text", _READ_MANY_MODELS, ids=["depth-four", "case-zero"])
+def test_byte_tables_stay_within_their_bound(text):
+    # every byte value read at every position: at most 256 entries per
+    # table, none wider than the level, which holds at most prev_width**2 // 2
+    snap, _ = _marked_and_plain(text)
+    for n in range(1, snap.num_levels):
+        lvl = snap.level(n)
+        assert lvl.width <= lvl.prev_width ** 2 // 2
+        for name, found in _byte_maps(lvl).items():
+            width = lvl.prev_width if name in ("lift", "conditional") else lvl.width
+            for byte_map in [found] if name in ("lift", "transpose") else found:
+                assert len(byte_map) == (width + 7) // 8
+                for j, table in enumerate(byte_map):
+                    for v in range(1 << min(8, width - 8 * j)):
+                        byte_map(v << 8 * j)
+                    assert len(table) <= 256
+                    assert all(value.bit_length() <= lvl.width <= 2048
+                               for value in table.values())
