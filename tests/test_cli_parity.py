@@ -35,7 +35,9 @@ def test_writer_equals_json_dumps(value):
     assert cli._json_text(value) == json.dumps(value, indent=2)
 
 
-@pytest.mark.parametrize("value", [(1, 2), {1: "a"}, {"a": object()}, [b"x"]], ids=repr)
+# Fixed ids: ``repr`` of ``object()`` holds its address, which changes per run.
+@pytest.mark.parametrize("value", [(1, 2), {1: "a"}, {"a": object()}, [b"x"]],
+                         ids=["(1, 2)", "{1: 'a'}", "{'a': object()}", "[b'x']"])
 def test_writer_refuses_other_types(value):
     with pytest.raises(TypeError):
         cli._json_text(value)
