@@ -15,12 +15,15 @@ it as triples ``(k, pattern, rows)`` (``Level.row_groups``): the rows
 ``rows`` of half ``k ^ 1`` all read ``pattern`` over half ``k``, so each
 triple costs one product.  On a wide level, a rank-one run of rows, as
 every run of a conditional's value ``S | T(S)`` is, makes one triple.
+A new measure stores level 0 alone, so attaching one to a wide model
+allocates nothing: a level is stored when a read needs it, or when
+``extend_to`` asks for it.
 A base measure with zeros is read as the limit under a vanishing uniform
-perturbation eps: ``init_measure`` then runs the same extension over
+perturbation eps: ``init_measure`` then picks the same extension over
 leading terms ``(order, coeff)``, where products add orders, sums keep the
 lowest order, and the coefficients are integer numerators over the same
 kind of shared denominators.  ``prob`` and ``bayes_check`` read either
-measure alike, and ``limit_prob`` is one query under the limit.  All
+measure alike, and ``limit_prob`` is ``prob`` over ``init_measure``.  All
 arithmetic is exact; there is no floating point in this module.
 """
 
@@ -35,7 +38,6 @@ from typing import NamedTuple
 from .evaluator import _eval
 from .formula import And, Cond, Formula
 from .model import ModelError, ModelState
-from .worlds import bit_indices
 
 _FLAGS = bytes.maketrans(b"01", b"\x00\x01")
 
@@ -65,7 +67,7 @@ class BaseMeasure:
 
     @property
     def strictly_positive(self) -> bool:
-        return all(w > 0 for w in self.weights)
+        return all(self.weights)
 
     @classmethod
     def uniform(cls, state: ModelState) -> "BaseMeasure":
@@ -113,11 +115,12 @@ class MeasureState:
     A set at level ``n >= 1`` is weighed from level ``n - 1`` by rows, as
     ``sum_k (L_n // s_k) sum_{x pairing with half k} w[x] sum_{y in half k,
     (x, y) in set} w[y]``, so ``weight_of`` stores levels only up to
-    ``n - 1``; ``extend_to`` stores a level itself for ``level_weights``.
-    Fractions appear only at the boundary: the base weights in and
+    ``n - 1``.  A new measure stores level 0 only; ``extend_to`` stores the
+    levels through one for ``level_weights``, which reads stored levels
+    alone.  Fractions appear only at the boundary: the base weights in and
     ``weight_of``/``level_weights`` out.  Both paths take the step's halves
-    and factors from ``_step`` and ``_scale``, so ``limit_prob`` runs them
-    unchanged over leading terms.  Extension and the per-step memo are
+    and factors from ``_step`` and ``_scale``, so ``_LeadingMeasure`` runs
+    them unchanged over leading terms.  Extension and the per-step memo are
     single-owner like the model itself.
     """
 
@@ -137,8 +140,16 @@ class MeasureState:
         return len(self._levels) - 1
 
     def level_weights(self, n: int) -> list[Fraction]:
-        den = self._denoms[n]
+        den = self._stored(n)
         return [Fraction(x, den) for x in self._levels[n]]
+
+    def _stored(self, n: int) -> int:
+        """Stored level ``n``'s shared denominator."""
+        if not 0 <= n <= self.extended_through():
+            raise MeasureError(
+                f"level {n} is not stored (levels 0 to {self.extended_through()} "
+                f"are): extend_to(state, {n}) stores it")
+        return self._denoms[n]
 
     def extend_to(self, state: ModelState, level: int) -> None:
         while self.extended_through() < level:
@@ -193,8 +204,7 @@ class MeasureState:
         """
         n = value.level
         if n == 0:
-            w = self._levels[0]
-            return sum(w[i] for i in bit_indices(value.mask)), self._denoms[0]
+            return _weigh(self._levels[0], value.mask), self._denoms[0]
         self.extend_to(state, n - 1)
         halves, scale, factors = self._step(state, n - 1)
         totals = [0] * len(halves)
@@ -230,7 +240,7 @@ class _LeadingMeasure(MeasureState):
 
     def level_weights(self, n: int) -> list[Fraction]:
         """The limits of level ``n``'s weights: each coefficient at order 0."""
-        den = self._denoms[n]
+        den = self._stored(n)
         return [Fraction(x.coeff, den) if x.order == 0 else Fraction(0)
                 for x in self._levels[n]]
 
@@ -243,14 +253,12 @@ class _LeadingMeasure(MeasureState):
 
 
 def init_measure(state: ModelState, pi: BaseMeasure) -> MeasureState:
-    """Attach ``pi`` to the model and extend it through the built levels.
+    """Attach ``pi`` to the model, storing level 0 only: reads extend it.
 
     A base with zeros is read as the limit under a vanishing uniform
-    perturbation (``_LeadingMeasure``), as ``limit_prob`` reads it.
+    perturbation (``_LeadingMeasure``).
     """
-    m = MeasureState(state, pi) if pi.strictly_positive else _LeadingMeasure(state, pi)
-    m.extend_to(state, state.top)
-    return m
+    return MeasureState(state, pi) if pi.strictly_positive else _LeadingMeasure(state, pi)
 
 
 def prob(state: ModelState, m: MeasureState, f: Formula) -> Fraction:
@@ -280,6 +288,7 @@ def limit_prob(state: ModelState, pi: BaseMeasure, f: Formula) -> Fraction:
     so the extension runs on leading terms ``coeff * eps**order``: a base
     weight ``w > 0`` is ``(0, w)`` and ``w = 0`` is ``(1, 1/n)``.  The limit
     is the value's coefficient at order 0, or 0 if its order is higher.
-    The value is weighed at its natural level, as in ``prob``.
+    This is ``prob`` under ``init_measure``, which runs the leading terms
+    only for a base with zeros: a positive base's limit is its value.
     """
-    return _LeadingMeasure(state, pi).weight_of(state, _eval(state, f))
+    return prob(state, init_measure(state, pi), f)

@@ -96,10 +96,6 @@ class PropSet:
                 f"{other.level} (width {other.width})"
             )
 
-    @property
-    def full_mask(self) -> int:
-        return (1 << self.width) - 1
-
     def union(self, other: "PropSet") -> "PropSet":
         self._check(other)
         return PropSet(self.level, self.mask | other.mask, self.width)
@@ -113,7 +109,7 @@ class PropSet:
         return PropSet(self.level, self.mask & ~other.mask, self.width)
 
     def complement(self) -> "PropSet":
-        return PropSet(self.level, self.mask ^ self.full_mask, self.width)
+        return PropSet(self.level, self.mask ^ ((1 << self.width) - 1), self.width)
 
     def issubset(self, other: "PropSet") -> bool:
         self._check(other)
@@ -164,8 +160,7 @@ class Level:
     the methods read the rows: up to ``NARROW_WIDTH`` worlds bit by bit
     through per-world tables (``_tables``), wider by runs of a block half's
     consecutive rows (``_segments``).  Each is built on its first read.
-    ``pairs`` and ``block_of``, each world's (left, right) pair and block,
-    serve dumps and tests.
+    ``pairs``, each world's (left, right) pair, serves dumps and tests.
     """
 
     index: int
@@ -234,20 +229,16 @@ class Level:
         where, _, rows = self._tables
         return [(x, y) for x in rows for y in where[x][2]]
 
-    @property
-    def block_of(self) -> list:
-        where, _, rows = self._tables
-        return [where[x][1] for x in rows for _ in where[x][2]]
-
     @functools.cached_property
     def _segments(self) -> list:
         # each block half cut into runs of rows consecutive in table order,
         # as (on_pi, first row's start, row count, row length, a reader of
         # the rows' bits below, a reader of their partners', the run's
         # repunit: a one at each row's start, the measure's index of the half
-        # they pair with, the rows' worlds), in table order.  A side's rows
-        # run over its worlds ascending, so a half's run ends at the side's
-        # next world outside it: a run of ones of the half or the side's gaps
+        # they pair with, the rows' worlds, the first row's position in its
+        # own half), in table order.  A side's rows run over its worlds
+        # ascending, so a half's run ends at the side's next world outside
+        # it: a run of ones of the half or the side's gaps
         out = []
         for side, start in ((0, 0), (1, self.split)):
             gaps, cut = functools.reduce(int.__xor__, (m[side] for m in self.masks),
@@ -260,12 +251,12 @@ class Level:
                     count = (rest & (end - 1)).bit_count()
                     rest &= -end
                     cut.append((half[a], count, len(partners), half[a:a + count],
-                                partners, 2 * b + 1 - side))
+                                partners, 2 * b + 1 - side, a))
                     a += count
-            for _, count, length, worlds, partners, k in sorted(cut, key=itemgetter(0)):
+            for _, count, length, worlds, partners, k, a in sorted(cut, key=itemgetter(0)):
                 out.append((side == 0, start, count, length, itemgetter(*worlds),
                             itemgetter(*partners), _spread((1 << count) - 1, count, length),
-                            k, worlds))
+                            k, worlds, a))
                 start += count * length
         return out
 
@@ -275,7 +266,7 @@ class Level:
         ``k`` of the previous level, half ``2b`` being block ``b``'s Pi and
         half ``2b + 1`` its Gamma."""
         if self.width > NARROW_WIDTH:
-            return [(x, k) for *_, k, worlds in self._segments for x in worlds]
+            return [(x, k) for *_, k, worlds, _ in self._segments for x in worlds]
         return [(x, k) for x, k, *_ in self._row_cuts]
 
     @functools.cached_property
@@ -295,27 +286,13 @@ class Level:
             start = end
         return out
 
-    @functools.cached_property
-    def _half_runs(self) -> tuple:
-        # each block half's runs as (start, count, length, the position of
-        # its first row in the half), keyed by the half's index (a run's
-        # rows pair with half k and lie in half k ^ 1), and each run's
-        # position keyed by its start
-        halves: dict = {}
-        at: dict = {}
-        for _, start, count, length, *_, k, _ in self._segments:
-            runs = halves.setdefault(k ^ 1, [])
-            at[start] = a = runs[-1][3] + runs[-1][1] if runs else 0
-            runs.append((start, count, length, a))
-        return halves, at
-
     def _runs_met(self, mask: int):
         # each run of a wide level's rows that the set meets, as (its
         # segment, its bits, (firsts, row) or None): a run whose nonzero rows
         # all equal ``row``, the row of its lowest set bit, is ``firsts *
         # row`` with ``firsts`` its bits in that bit's column (no carries)
         for seg in self._segments:
-            _, start, count, length, _, _, repunit, _, _ = seg
+            _, start, count, length, _, _, repunit, _, _, _ = seg
             chunk = mask >> start & ((1 << count * length) - 1)
             if not chunk:
                 continue
@@ -336,10 +313,9 @@ class Level:
         if self.width <= NARROW_WIDTH:
             reads = [(k, mask >> start & ones, bit) for _, k, start, ones, bit in self._row_cuts]
         else:
-            reads, at = [], self._half_runs[1]
+            reads = []
             for seg, chunk, factors in self._runs_met(mask):
-                _, start, count, length, _, _, repunit, k, _ = seg
-                a = at[start]
+                _, start, count, length, _, _, repunit, k, _, a = seg
                 if factors:
                     firsts, row = factors
                     rows = ((1 << count) - 1 if firsts == repunit else
@@ -372,7 +348,7 @@ class Level:
             return 0
         s = bit_string(below, self.prev_width)
         out = 0
-        for on_pi, start, count, length, rows, partners, repunit, _, _ in self._segments:
+        for on_pi, start, count, length, rows, partners, repunit, *_ in self._segments:
             out |= (_filled(rows, s, count, length) if on_pi == direct else
                     repunit * int("".join(partners(s))[::-1], 2)) << start
         return out
@@ -419,7 +395,7 @@ class Level:
                     return None
             return parents
         out = 0
-        for _, start, count, length, _, _, repunit, _, worlds in self._segments:
+        for _, start, count, length, _, _, repunit, _, worlds, _ in self._segments:
             chunk = mask >> start & ((1 << count * length) - 1)
             if ((f := chunk & repunit) << length) - f != chunk:
                 return None
@@ -460,10 +436,12 @@ class Level:
         return out
 
     def _transpose_runs(self, mask: int) -> int:
-        halves, out = self._half_runs[0], 0
-        for k, pattern, rows in self.row_groups(mask):
-            for first, n, span, j in halves[k]:
-                if bits := pattern >> j & ((1 << n) - 1):
+        out, groups = 0, self.row_groups(mask)
+        for _, first, n, span, _, _, _, k, _, j in self._segments:
+            # the run's rows lie in half k ^ 1, at positions j to j + n - 1,
+            # so a triple over that half writes its pattern's bits there
+            for half, pattern, rows in groups:
+                if half == k ^ 1 and (bits := pattern >> j & ((1 << n) - 1)):
                     out |= _spread(bits, n, span) * rows << first
         return out
 
@@ -476,9 +454,9 @@ def bit_string(mask: int, width: int) -> str:
 @functools.lru_cache(maxsize=16)
 def _spread_table(length: int) -> tuple:
     # byte v -> the length bytes of sum(1 << i * length for set bits i of v).
-    # Process-wide, for the 16 row lengths used last; it serves runs of
-    # eight rows or more, so the tables of one level's lengths total at
-    # most 32 bytes per world of it
+    # Process-wide, for the 16 row lengths used last.  A block of halves p
+    # and g gives rows of lengths g and p and has 2 * p * g >= p + g worlds,
+    # so the tables of one level's lengths total at most 256 bytes per world
     return tuple(sum(1 << i * length for i in _BYTE_BITS[v]).to_bytes(length, "little")
                  for v in range(256))
 
@@ -487,10 +465,8 @@ def _spread(bits: int, count: int, length: int) -> int:
     """``sum(1 << i * length)`` over the set bits ``i < count`` of ``bits``.
 
     Eight rows of ``length`` bits make ``length`` whole bytes, looked up
-    per byte of ``bits``; fewer than eight rows are shifted one by one.
+    per byte of ``bits``.
     """
-    if count < 8:
-        return sum(1 << i * length for i in _BYTE_BITS[bits])
     table = _spread_table(length)
     return int.from_bytes(b"".join(map(table.__getitem__,
                                        bits.to_bytes((count + 7) // 8, "little"))),

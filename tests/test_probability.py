@@ -214,6 +214,7 @@ def test_extension_matches_naive_reference():
         total = sum(weights)
         pi = BaseMeasure.from_weights([w / total for w in weights])
         m = init_measure(s, pi)
+        m.extend_to(s, s.top)
         om, maps = drive_from_state(s)
         ref = om.extend_measure(dict(zip(maps[0], pi.weights)))
         for n in range(s.num_levels):
@@ -231,6 +232,7 @@ def test_deep_chain_extension_is_exact():
     assign(s, parse("((((q|p)|q)|p /\\ q)|p \\/ q)"))
     assert [s.width(n) for n in range(s.num_levels)] == [4, 8, 32, 384, 40960]
     m = init_measure(s, pi)
+    m.extend_to(s, s.top)
     want = list(pi.weights)
     assert m.level_weights(0) == want
     for n in range(1, s.num_levels):
@@ -240,8 +242,9 @@ def test_deep_chain_extension_is_exact():
         pi_mass = [sum(prev[i] for i in bit_indices(p)) for p, _ in blocks]
         ga_mass = [sum(prev[i] for i in bit_indices(g)) for _, g in blocks]
         lvl = s.level(n)
+        block_of = [k >> 1 for _, k in lvl.row_halves for _ in lvl.blocks[k >> 1][k & 1]]
         want = [prev[l] * prev[r] / (ga_mass[b] if i < lvl.split else pi_mass[b])
-                for i, ((l, r), b) in enumerate(zip(lvl.pairs, lvl.block_of))]
+                for i, ((l, r), b) in enumerate(zip(lvl.pairs, block_of))]
         got = m.level_weights(n)
         assert got == want, n
         assert sum(got) == 1, n
@@ -264,6 +267,7 @@ def test_weight_of_after_case_zero_step_sums_level_weights():
     pi = BaseMeasure.from_weights([Fraction(1, 3), Fraction(1, 5),
                                    Fraction(1, 7), Fraction(34, 105)])
     m = init_measure(s, pi)
+    m.extend_to(s, s.top)
     om, maps = drive_from_state(s)
     ref = om.extend_measure(dict(zip(maps[0], pi.weights)))
     rng = random.Random(5)
@@ -306,7 +310,8 @@ def test_weight_of_by_rows_matches_stored_level_weights(build, ladder):
     assert min(ladder) <= NARROW_WIDTH < max(ladder)  # both transpose paths
     pi = BaseMeasure.from_weights(PRIME_WEIGHTS)
     stored = init_measure(s, pi)
-    assert stored.extended_through() == s.top
+    assert stored.extended_through() == 0
+    stored.extend_to(s, s.top)
     rng = random.Random(17)
     for n, width in enumerate(ladder):
         weights = stored.level_weights(n)
@@ -348,6 +353,7 @@ def test_weight_of_sets_with_repeated_rows(build, measure):
     s = build()
     pi = BaseMeasure.from_weights(PRIME_WEIGHTS)
     stored = init_measure(s, pi)
+    stored.extend_to(s, s.top)
     weights = [stored.level_weights(n) for n in range(s.num_levels)]
     m = measure(s, pi)
     for ps in _repeated_row_sets(s, random.Random(23)):
@@ -399,6 +405,7 @@ def test_weight_of_by_runs_on_wide_levels(build, weights, ladder, measure, row_w
     assert [s.width(n) for n in range(s.num_levels)] == ladder
     pi = BaseMeasure.from_weights(weights)
     stored = init_measure(s, pi)
+    stored.extend_to(s, s.top)
     m = measure(s, pi)
     rng = random.Random(37)
     for n in [n for n, width in enumerate(ladder) if width > NARROW_WIDTH]:
@@ -471,6 +478,31 @@ def test_prob_stores_levels_below_the_top_only():
     assert s.top == 4
     assert m.extended_through() == s.top - 1
     assert got == prob(s, init_measure(s, pi), parse(DEPTH_FOUR))
+
+
+def test_init_measure_on_a_built_model_stores_level_zero_only():
+    s = _depth_four_chain()
+    m = init_measure(s, BaseMeasure.from_weights(PRIME_WEIGHTS))
+    assert type(m) is MeasureState
+    assert m.extended_through() == 0
+    assert prob(s, m, parse(DEPTH_FOUR)) == 1
+    assert m.extended_through() == 3
+
+
+@pytest.mark.parametrize("pi", [PRIME_WEIGHTS, [0, Fraction(1, 3), Fraction(1, 3),
+                                                Fraction(1, 3)]], ids=["positive", "zeros"])
+def test_level_weights_of_a_level_not_stored_is_refused(pi):
+    s = ModelState.from_atoms(["p", "q"])
+    s.step(s.h("p"))
+    m = init_measure(s, BaseMeasure.from_weights(pi))
+    for n in (1, -1):
+        with pytest.raises(MeasureError, match=rf"level {n} is not stored.*extend_to"):
+            m.level_weights(n)
+    m.extend_to(s, 1)
+    assert sum(m.level_weights(1)) == 1
+    for n in (2, -1):
+        with pytest.raises(MeasureError, match="extend_to"):
+            m.level_weights(n)
 
 
 @pytest.mark.parametrize("text,want", [
@@ -560,6 +592,7 @@ def test_level_weights_of_a_base_with_zeros_are_the_limits():
     s.step(s.h("p"))
     pi = BaseMeasure.from_weights([0, 0, Fraction(3, 4), Fraction(1, 4)])
     m = init_measure(s, pi)
+    m.extend_to(s, s.top)
     assert m.level_weights(0) == list(pi.weights)
     assert m.level_weights(1) == [Fraction(3, 8), Fraction(3, 8), Fraction(1, 8),
                                   Fraction(1, 8), 0, 0, 0, 0]
@@ -591,6 +624,7 @@ def test_block_weight_identities():
         for _ in range(rng.choice((1, 2))):
             s.step(s.lift(rng.choice(events), s.top))
         m = init_measure(s, _random_positive_measure(rng))
+        m.extend_to(s, s.top)
         for ev in s.history:
             w = m.level_weights(ev.level)
             p_b = sum(w[i] for i in PropSet(ev.level, ev.event, s.width(ev.level)).indices())

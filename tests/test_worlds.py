@@ -229,8 +229,10 @@ def _plain_segments(lvl, prev_width):
     # reading every previous-level world once
     worlds = list(range(prev_width))
     out = []
-    for on_pi, start, count, length, rows, partners, repunit, k, members in lvl._segments:
+    for on_pi, start, count, length, rows, partners, repunit, k, members, a in lvl._segments:
         assert rows(worlds) == (members[0] if count == 1 else tuple(members))
+        # the rows lie in half k ^ 1 from position a on
+        assert lvl.blocks[k >> 1][(k ^ 1) & 1][a:a + count] == members
         assert repunit == sum(1 << i * length for i in range(count))
         out.append((on_pi, start, count, length, k, members))
     return out
@@ -246,6 +248,7 @@ def test_build_level_matches_sorted_reference(seed):
     lvl = build_level(3, prev_width, blocks)
     want = _reference_level(prev_width, blocks)
     perm = want.pop("transpose_perm")
+    block_of = want.pop("block_of")
     assert lvl.index == 3 and lvl.width == len(want["pairs"])
     # the runs of rows are cut from the block masks, before any table exists
     segments = _plain_segments(lvl, prev_width)
@@ -256,6 +259,9 @@ def test_build_level_matches_sorted_reference(seed):
     assert runs == want_runs
     for key, value in want.items():
         assert getattr(lvl, key) == value, key
+    # each world's block, from its row's half k of the level below
+    assert [k >> 1 for _, k in lvl.row_halves
+            for _ in lvl.blocks[k >> 1][k & 1]] == block_of
     assert [x for *_, members in segments for x in members] == rows
     for i in rng.sample(range(lvl.width), min(lvl.width, 48)):
         j = perm[i]
