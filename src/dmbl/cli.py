@@ -41,13 +41,26 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(f"{self.prog}: {message}")
 
 
+# every command's options, as ``add_argument`` keywords; ``_common`` and the
+# direct reader (``_plain_forms``) both read this table
+OPTIONS = {
+    "--config": {"help": "engine config file (JSON)"},
+    "--atoms": {"help": "comma-separated atom names"},
+    "--schedule": {"choices": ["demand", "canonical"]},
+    "--max-levels": {"type": int},
+    "--max-worlds": {"type": int},
+    "--json": {"action": "store_true", "help": "emit a JSON report"},
+}
+# options of one command alone, added before the common ones
+COMMAND_OPTIONS = {
+    "dump-model": {"--step": {"action": "append", "help": "process this formula's "
+                                                          "world set before dumping"}},
+}
+
+
 def _common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", help="engine config file (JSON)")
-    sub.add_argument("--atoms", help="comma-separated atom names")
-    sub.add_argument("--schedule", choices=["demand", "canonical"])
-    sub.add_argument("--max-levels", type=int)
-    sub.add_argument("--max-worlds", type=int)
-    sub.add_argument("--json", action="store_true", help="emit a JSON report")
+    for flag, keywords in OPTIONS.items():
+        sub.add_argument(flag, **keywords)
 
 
 def _make_config(args) -> EngineConfig:
@@ -416,17 +429,92 @@ def build_parser() -> argparse.ArgumentParser:
         for arg in positionals:
             arg, nargs = arg if isinstance(arg, tuple) else (arg, None)
             p.add_argument(arg, nargs=nargs)
-        if name == "dump-model":
-            p.add_argument("--step", action="append",
-                           help="process this formula's world set before dumping")
+        for flag, keywords in COMMAND_OPTIONS.get(name, {}).items():
+            p.add_argument(flag, **keywords)
         _common(p)
         p.set_defaults(func=handler)
     return ap
 
 
+def _plain_forms() -> dict:
+    """Per command: its positional names, least operand count, options
+    (flag -> dest, action, type, choices) and the Namespace's defaults."""
+    forms = {}
+    for name, _, positionals, handler in COMMANDS:
+        names = [arg[0] if isinstance(arg, tuple) else arg for arg in positionals]
+        least = sum(not isinstance(arg, tuple) for arg in positionals)
+        options = {}
+        defaults = dict.fromkeys(names)
+        for flag, kw in {**COMMAND_OPTIONS.get(name, {}), **OPTIONS}.items():
+            dest = flag[2:].replace("-", "_")
+            action = kw.get("action")
+            options[flag] = (dest, action, kw.get("type"), kw.get("choices"))
+            defaults[dest] = False if action == "store_true" else None
+        defaults["func"] = handler
+        forms[name] = (names, least, options, defaults)
+    return forms
+
+
+_PLAIN = _plain_forms()
+
+
+def _read_plain(argv: list):
+    """The Namespace ``build_parser().parse_args(argv)`` returns for a plain
+    command line, read without argparse, or None for any other line."""
+    form = _PLAIN.get(argv[0]) if argv else None
+    if form is None:
+        return None
+    names, least, options, defaults = form
+    end = len(argv)
+    k = 1
+    while k < end and not argv[k].startswith("-"):
+        k += 1
+    if not least < k <= len(names) + 1:
+        return None
+    values = dict(defaults)
+    values.update(zip(names, argv[1:k]))
+    while k < end:
+        option = options.get(argv[k])
+        if option is None:
+            return None
+        dest, action, convert, choices = option
+        k += 1
+        if action == "store_true":
+            values[dest] = True
+            continue
+        if k == end or argv[k].startswith("-"):
+            return None
+        value = argv[k]
+        k += 1
+        if convert is not None:
+            try:
+                value = convert(value)
+            except ValueError:
+                return None
+        if choices is not None and value not in choices:
+            return None
+        values[dest] = [*(values[dest] or ()), value] if action == "append" else value
+    values["command"] = argv[0]
+    return argparse.Namespace(**values)
+
+
 def _parse_args(argv: list):
-    """``build_parser().parse_args(argv)``, calling the parser of the
-    command that ``argv[0]`` names directly, without the top level's pass."""
+    """``build_parser().parse_args(argv)``: the same Namespace, help, version
+    and usage errors.
+
+    A plain line is read without building the parser: a command name, its
+    operands (as many as it takes, none starting with ``-``), then only
+    full-spelled options from ``OPTIONS`` and ``COMMAND_OPTIONS``, each
+    value not starting with ``-`` and valid for its type and choices.
+    Operands are read only before the first option, since argparse binds
+    them in groups (on Python 3.11, ``b6-diag p q --json r`` leaves ``eta``
+    None and rejects ``r``).  argparse reads every other line: ``-h``, ``--version``,
+    abbreviations, ``--opt=value``, ``--``, options before operands, wrong
+    arity, a bad value, an unknown command.  It goes straight to the parser
+    of the command that ``argv[0]`` names, skipping the top level's pass."""
+    args = _read_plain(argv)
+    if args is not None:
+        return args
     ap = build_parser()
     sub = ap.commands.get(argv[0]) if argv else None
     if sub is None:

@@ -69,7 +69,7 @@ def load_config(path: str) -> EngineConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-    except (OSError, ValueError) as exc:  # also malformed JSON or encoding
+    except (OSError, ValueError, RecursionError) as exc:  # also bad JSON, too deep
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     if not isinstance(data, dict):
         raise ConfigError(f"config {path} is not a JSON object")

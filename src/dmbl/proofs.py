@@ -356,7 +356,7 @@ def load_derivation(path) -> Derivation:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
-        except ValueError as exc:  # malformed JSON or text encoding
+        except (ValueError, RecursionError) as exc:  # bad JSON or encoding, too deep
             raise ProofError(f"cannot read proof script {path}: {exc}") from None
     return derivation_from_dict(data)
 

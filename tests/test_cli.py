@@ -250,6 +250,18 @@ def test_malformed_proof_script_is_proof_error(tmp_path, capsys, text):
     assert err.startswith("proof error:") and len(err.splitlines()) == 1
 
 
+# nested past json.load's depth limit under any recursion limit (1000 is on 3.11)
+NESTED = "[" * 100_000 + "]" * 100_000
+
+
+def test_nested_proof_script_is_proof_error(tmp_path, capsys):
+    path = tmp_path / "proof.json"
+    path.write_text(NESTED)
+    code, out, err = run(capsys, "check-proof", str(path))
+    assert code == 2 and out == "" and len(err.splitlines()) == 1
+    assert err.startswith(f"proof error: cannot read proof script {path}: ")
+
+
 def test_dump_model_with_steps(capsys):
     code, out, _ = run(capsys, "dump-model", "--step", "p", "--json")
     assert code == 0
@@ -362,6 +374,14 @@ def test_config_file(tmp_path, capsys):
     code, out, _ = run(capsys, "prob", "p", "--config", str(cfg), "--json")
     assert code == 0
     assert json.loads(out)["rational"] == "7/10"
+
+
+def test_nested_config_is_config_error(tmp_path, capsys):
+    cfg = tmp_path / "engine.json"
+    cfg.write_text('{"task_list": ' + NESTED + "}")
+    code, out, err = run(capsys, "prob", "p", "--config", str(cfg))
+    assert code == 2 and out == "" and len(err.splitlines()) == 1
+    assert err.startswith(f"config error: cannot read config {cfg}: ")
 
 
 # both ~p worlds weigh zero, so P(p) = 1 and conditionals on p or ~p are limits

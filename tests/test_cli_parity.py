@@ -2,11 +2,13 @@
 standard library's: ``json.dumps(report, indent=2)`` and
 ``build_parser().parse_args(argv)`` give the same bytes and outcomes."""
 
+import contextlib
+import io
 import json
 import shutil
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dmbl import cli
 from dmbl.cli import build_parser, main
@@ -105,10 +107,22 @@ DISPATCH = [
     # help, version and the top level's own paths
     ["prob", "-h"], ["--version"], ["-h"], [], ["frobnicate", "p"], ["--json", "prob", "p"],
     ["--vers"],
+    # the edges of the direct reader: operands after an option, repeated
+    # options, and values argparse reads otherwise than a plain token
+    ["b6-diag", "p", "q", "--json", "r"], ["prob", "--json", "p"],
+    ["dump-model", "--step", "p", "--json", "--step", "q"],
+    ["prob", "p", "--max-worlds", " 7"], ["prob", "p", "--max-worlds", "1_0"],
+    ["prob", "p", "--max-worlds", "9" * 5000], ["prob", "p", "--config", "-x"],
+    ["prob", "p", "--atoms", ""], ["prob", ""], ["prob", "p", "--json", "--json"],
+    ["prob", "p", "--schedule", "demand", "--schedule", "canonical"],
 ]
 
 
-@pytest.mark.parametrize("argv", DISPATCH, ids=" ".join)
+def _argv_id(argv):
+    return " ".join(a if len(a) <= 40 else f"{a[:3]}...{len(a)} chars" for a in argv)
+
+
+@pytest.mark.parametrize("argv", DISPATCH, ids=_argv_id)
 def test_dispatch_matches_the_top_level_parser(capsys, monkeypatch, proof_path, argv):
     argv = [proof_path if a == "PROOF" else a for a in argv]
     direct = _outcome(capsys, argv)
@@ -127,3 +141,65 @@ def test_dispatch_sets_the_command():
     direct = cli._parse_args(["prob", "p", "--json"])
     assert direct == build_parser().parse_args(["prob", "p", "--json"])
     assert direct.command == "prob"
+
+
+@pytest.fixture
+def config_path(tmp_path):
+    path = tmp_path / "engine.json"
+    path.write_text(json.dumps({"measure": {"p /\\ q": "2/5", "p /\\ ~q": "3/10",
+                                            "~p /\\ q": "1/5", "~p /\\ ~q": "1/10"}}))
+    return str(path)
+
+
+PLAIN = [
+    *([*argv, "--json"] for argv in EVERY_COMMAND),
+    ["prob", "(q|p)", "--config", "CONFIG"], ["prob", "(q|p)", "--atoms", "p,q"],
+    ["prob", "(q|p)", "--schedule", "canonical"], ["prob", "(q|p)", "--max-levels", "8"],
+    ["prob", "(q|p)", "--max-worlds", "500000"],
+    ["prob", "(q|p)", "--config", "CONFIG", "--atoms", "p,q", "--schedule", "canonical",
+     "--max-levels", "8", "--max-worlds", "500000", "--json"],
+    ["dump-model", "--step", "p", "--step", "q"],
+    ["b6-diag", "p", "q"], ["b6-diag", "p", "q", "(q|p)"],
+]
+
+
+@pytest.mark.parametrize("argv", PLAIN, ids=" ".join)
+def test_plain_lines_never_build_the_parser(capsys, monkeypatch, proof_path,
+                                            config_path, argv):
+    argv = [{"PROOF": proof_path, "CONFIG": config_path}.get(a, a) for a in argv]
+    reference = _outcome(capsys, argv)
+    assert reference[0] in (0, 1)
+
+    def refuse():
+        raise AssertionError("the argparse parser was built")
+
+    monkeypatch.setattr(cli, "build_parser", refuse)
+    assert _outcome(capsys, argv) == reference
+
+
+# commands, operands, options, values, and the forms only argparse reads
+TOKENS = [*(name for name, *_ in cli.COMMANDS), "frobnicate", "p", "(q|p)", "", " 7",
+          "-p", "-1", "-x y", "--", "-h", "--help", "--version", "--json", "--jso",
+          "--json=1", *cli.OPTIONS, "--step", "--max-w", "--sch", "--schedule=canonical",
+          "demand", "canonical", "8", "1_0", "x", "-5", "p,q", "9" * 5000]
+
+
+def _parsed(parse, argv):
+    """A Namespace, a usage message or a ``SystemExit`` code, with the output."""
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            result = parse(argv)
+    except cli._UsageError as exc:
+        result = ("usage", str(exc))
+    except SystemExit as exc:
+        result = ("SystemExit", exc.code)
+    return result, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=300)
+@given(st.sampled_from([name for name, *_ in cli.COMMANDS]) | st.sampled_from(TOKENS),
+       st.lists(st.sampled_from(TOKENS), max_size=7))
+def test_reader_matches_argparse(command, rest):
+    argv = [command, *rest]
+    assert _parsed(cli._parse_args, argv) == _parsed(build_parser().parse_args, argv)
