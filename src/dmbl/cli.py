@@ -11,7 +11,6 @@ import argparse
 import functools
 import json
 import sys
-from dataclasses import replace
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _escape  # json.dumps' C escaper
 
@@ -78,7 +77,7 @@ def _make_config(args) -> EngineConfig:
     if args.json:
         flags["output"] = "json"
     # replace() re-runs EngineConfig's validation on the flag values
-    return replace(cfg, **flags)
+    return cfg.replace(**flags)
 
 
 def _json_text(value, indent: str = "") -> str:

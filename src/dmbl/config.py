@@ -5,14 +5,13 @@ from __future__ import annotations
 import json
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 from .evaluator import assign
 from .formula import _IDENT_RE, parse
 from .model import ModelError, ModelState
 from .probability import BaseMeasure, MeasureError
+from .record import Record
 from .worlds import mask_of
 
 
@@ -20,18 +19,28 @@ class ConfigError(Exception):
     pass
 
 
-@dataclass
-class EngineConfig:
-    atoms: Optional[list[str]] = None
-    worlds: Optional[list[str]] = None
-    measure: Optional[dict[str, str]] = None
-    schedule: str = "demand"
-    max_levels: int = 32
-    max_worlds: int = 200_000
-    task_list: Optional[list] = None
-    output: str = "text"
+class EngineConfig(Record):
+    """A validated configuration; unlike the other records it is mutable,
+    and so unhashable."""
 
-    def __post_init__(self):
+    __slots__ = _fields = ("atoms", "worlds", "measure", "schedule", "max_levels",
+                           "max_worlds", "task_list", "output")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(self, atoms: list[str] | None = None, worlds: list[str] | None = None,
+                 measure: dict[str, str] | None = None, schedule: str = "demand",
+                 max_levels: int = 32, max_worlds: int = 200_000,
+                 task_list: list | None = None, output: str = "text"):
+        self.atoms = atoms
+        self.worlds = worlds
+        self.measure = measure
+        self.schedule = schedule
+        self.max_levels = max_levels
+        self.max_worlds = max_worlds
+        self.task_list = task_list
+        self.output = output
         for key in ("atoms", "worlds"):
             names = getattr(self, key)
             if names is not None and not (
@@ -63,6 +72,10 @@ class EngineConfig:
             raise ConfigError(f"unknown output {self.output!r}")
         if self.max_levels <= 0 or self.max_worlds <= 0:
             raise ConfigError("resource caps must be positive")
+
+    def replace(self, **changes) -> EngineConfig:
+        """A new config with ``changes`` over these fields, validated anew."""
+        return EngineConfig(**dict(zip(self._fields, self._values(self)), **changes))
 
 
 def load_config(path: str) -> EngineConfig:

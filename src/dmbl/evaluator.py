@@ -10,12 +10,10 @@ evaluated as defined, each operand once, without expanding them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
-
 from .formula import (And, Atom, Bot, Box, Cond, Diamond, Formula, Iff, Implies,
                       Indep, Not, Or, Top, is_box_free)
 from .model import ModelError, ModelState
+from .record import Record, _set
 from .worlds import PropSet
 
 
@@ -23,18 +21,22 @@ class EvaluationError(ModelError):
     pass
 
 
-@dataclass(frozen=True)
-class Valuation:
-    formula: Formula
-    value: PropSet
-    level: int
+class Valuation(Record):
+    __slots__ = _fields = ("formula", "value", "level")
+
+    def __init__(self, formula: Formula, value: PropSet, level: int):
+        _set(self, "formula", formula)
+        _set(self, "value", value)
+        _set(self, "level", level)
 
 
-@dataclass(frozen=True)
-class Decision:
-    formula: Formula
-    valid: bool
-    box_free: bool
+class Decision(Record):
+    __slots__ = _fields = ("formula", "valid", "box_free")
+
+    def __init__(self, formula: Formula, valid: bool, box_free: bool):
+        _set(self, "formula", formula)
+        _set(self, "valid", valid)
+        _set(self, "box_free", box_free)
 
     @property
     def verdict(self) -> str:
@@ -43,7 +45,7 @@ class Decision:
         return "model-valid" if self.valid else "model-invalid"
 
     @property
-    def caveat(self) -> Optional[str]:
+    def caveat(self) -> str | None:
         if self.box_free:
             return None
         return ("formula is not box-free: validity is relative to this model, "
@@ -143,18 +145,21 @@ def lewis_escape(state: ModelState, a: PropSet, b: PropSet) -> bool:
     return state.image_test(outside, 0) is None
 
 
-@dataclass(frozen=True)
-class B6Report:
+class B6Report(Record):
     """Symmetry probe for independence, plus the optional nesting probe.
 
     The nesting values are top-level sets, listed by ``PropSet.index_text``.
     """
 
-    forward: bool                 # psi independent of phi
-    backward: bool                # phi independent of psi
-    star_left: Optional[str]      # ((eta|psi)|phi) value, as sorted indices
-    star_right: Optional[str]     # (eta | phi /\ psi) value
-    star_equal: Optional[bool]
+    __slots__ = _fields = ("forward", "backward", "star_left", "star_right", "star_equal")
+
+    def __init__(self, forward: bool, backward: bool, star_left: str | None,
+                 star_right: str | None, star_equal: bool | None):
+        _set(self, "forward", forward)          # psi independent of phi
+        _set(self, "backward", backward)        # phi independent of psi
+        _set(self, "star_left", star_left)      # ((eta|psi)|phi) value, as sorted indices
+        _set(self, "star_right", star_right)    # (eta | phi /\ psi) value
+        _set(self, "star_equal", star_equal)
 
     @property
     def symmetric(self) -> bool:
@@ -162,7 +167,7 @@ class B6Report:
 
 
 def diagnose_b6(state: ModelState, phi: Formula, psi: Formula,
-                eta: Optional[Formula] = None) -> B6Report:
+                eta: Formula | None = None) -> B6Report:
     """Report whether independence is symmetric for the given pair.
 
     Only the weak forms of symmetry are guaranteed here, so the report

@@ -10,8 +10,9 @@ bar unambiguous.  ``T`` and ``F`` are the constants.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from itertools import islice
+
+from .record import Record, _set
 
 
 class FormulaError(Exception):
@@ -35,92 +36,90 @@ class UnknownAtomError(FormulaError):
         super().__init__(f"unknown atom {name!r} at offset {offset}")
 
 
-@dataclass(frozen=True)
-class Formula:
+class Formula(Record):
     __slots__ = ()
 
     def __str__(self) -> str:
         return to_text(self)
 
 
-@dataclass(frozen=True)
 class Top(Formula):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Bot(Formula):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Atom(Formula):
-    __slots__ = ("name",)
-    name: str
+    __slots__ = _fields = ("name",)
+
+    def __init__(self, name: str):
+        _set(self, "name", name)
 
 
-@dataclass(frozen=True)
+def _init_unary(self, body: Formula):
+    _set(self, "body", body)
+
+
+def _init_binary(self, left: Formula, right: Formula):
+    _set(self, "left", left)
+    _set(self, "right", right)
+
+
 class Not(Formula):
-    __slots__ = ("body",)
-    body: Formula
+    __slots__ = _fields = ("body",)
+    __init__ = _init_unary
 
 
-@dataclass(frozen=True)
 class And(Formula):
-    __slots__ = ("left", "right")
-    left: Formula
-    right: Formula
+    __slots__ = _fields = ("left", "right")
+    __init__ = _init_binary
 
 
-@dataclass(frozen=True)
 class Or(Formula):
-    __slots__ = ("left", "right")
-    left: Formula
-    right: Formula
+    __slots__ = _fields = ("left", "right")
+    __init__ = _init_binary
 
 
-@dataclass(frozen=True)
 class Implies(Formula):
-    __slots__ = ("left", "right")
-    left: Formula
-    right: Formula
+    __slots__ = _fields = ("left", "right")
+    __init__ = _init_binary
 
 
-@dataclass(frozen=True)
 class Iff(Formula):
-    __slots__ = ("left", "right")
-    left: Formula
-    right: Formula
+    __slots__ = _fields = ("left", "right")
+    __init__ = _init_binary
 
 
-@dataclass(frozen=True)
 class Box(Formula):
-    __slots__ = ("body",)
-    body: Formula
+    __slots__ = _fields = ("body",)
+    __init__ = _init_unary
 
 
-@dataclass(frozen=True)
 class Diamond(Formula):
-    __slots__ = ("body",)
-    body: Formula
+    __slots__ = _fields = ("body",)
+    __init__ = _init_unary
 
 
-@dataclass(frozen=True)
 class Cond(Formula):
     """The conditional ``(cons | ante)``: ``cons`` within the range of ``ante``."""
 
-    __slots__ = ("cons", "ante")
-    cons: Formula
-    ante: Formula
+    __slots__ = _fields = ("cons", "ante")
+
+    def __init__(self, cons: Formula, ante: Formula):
+        _set(self, "cons", cons)
+        _set(self, "ante", ante)
 
 
-@dataclass(frozen=True)
 class Indep(Formula):
     """Logical independence ``lhs * rhs``, short for ``[]((lhs|rhs) <-> lhs)``."""
 
-    __slots__ = ("lhs", "rhs")
-    lhs: Formula
-    rhs: Formula
+    __slots__ = _fields = ("lhs", "rhs")
+
+    def __init__(self, lhs: Formula, rhs: Formula):
+        _set(self, "lhs", lhs)
+        _set(self, "rhs", rhs)
 
 
 TOP = Top()

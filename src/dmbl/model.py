@@ -28,9 +28,8 @@ preimage one level down, and is expanded by that test when it is reached.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
-from typing import Optional
 
+from .record import Record, _set
 from .worlds import Level, PropSet, WorldsError, bit_indices, build_level, mask_of
 
 
@@ -61,8 +60,7 @@ class ScheduleError(ModelError):
     pass
 
 
-@dataclass(frozen=True)
-class ProcessedEvent:
+class ProcessedEvent(Record):
     """One construction step: the event, its case, and its blocks.
 
     ``level`` is the level the event lives at (the step built ``level + 1``).
@@ -71,13 +69,17 @@ class ProcessedEvent:
     preimage as ``(level, mask)``, the canonical form events are matched by.
     """
 
-    step: int
-    level: int
-    event: int
-    case: int
-    nu: Optional[int]
-    blocks: tuple[tuple[int, int], ...]
-    lowest: tuple[int, int]
+    __slots__ = _fields = ("step", "level", "event", "case", "nu", "blocks", "lowest")
+
+    def __init__(self, step: int, level: int, event: int, case: int, nu: int | None,
+                 blocks: tuple[tuple[int, int], ...], lowest: tuple[int, int]):
+        _set(self, "step", step)
+        _set(self, "level", level)
+        _set(self, "event", event)
+        _set(self, "case", case)
+        _set(self, "nu", nu)
+        _set(self, "blocks", blocks)
+        _set(self, "lowest", lowest)
 
 
 def _pair_key(mask: int) -> tuple:
@@ -165,6 +167,9 @@ class ModelState:
         self._h: dict = {}
         self._levels: list[Level] = [Level(index=0, width=width)]
         self.history: list[ProcessedEvent] = []
+        # lowest form -> (step, direct): the latest step whose event has that
+        # lowest form (direct) or its complement's (not direct)
+        self._matches: dict[tuple[int, int], tuple[int, bool]] = {}
 
         if schedule == "canonical":
             if task_list is None:
@@ -307,7 +312,7 @@ class ModelState:
             raise ModelError("transpose is undefined at level 0")
         return PropSet(ps.level, self._levels[ps.level].transpose(ps.mask), ps.width)
 
-    def image_test(self, ps: PropSet, src_level: int) -> Optional[PropSet]:
+    def image_test(self, ps: PropSet, src_level: int) -> PropSet | None:
         """The unique preimage of ``ps`` at ``src_level``, or None.
 
         ``ps`` has a preimage exactly when it is a union of the blocks
@@ -331,22 +336,16 @@ class ModelState:
         return level, mask
 
     def _find_match(self, mask: int, level: int,
-                    low: Optional[tuple[int, int]] = None) -> Optional[tuple[int, bool]]:
+                    low: tuple[int, int] | None = None) -> tuple[int, bool] | None:
         """Latest processed event equal to the set ``mask`` at ``level`` or to its complement.
 
         Lifting is an injective Boolean morphism, so two sets are equal exactly
         when their lowest preimages are, and complements have complementary ones.
         ``low`` is the set's lowest preimage when the caller has it already.
         """
-        if low is None:
-            low = self._lowest(mask, level)
-        comp = (low[0], low[1] ^ ((1 << self.width(low[0])) - 1))
-        for ev in reversed(self.history):
-            if ev.lowest in (low, comp):
-                return ev.step, ev.lowest == low
-        return None
+        return self._matches.get(self._lowest(mask, level) if low is None else low)
 
-    def _conditional(self, b: PropSet, a: PropSet) -> Optional[PropSet]:
+    def _conditional(self, b: PropSet, a: PropSet) -> PropSet | None:
         """``f(b, a)`` at the higher of the operands' and the defining level.
 
         None when the pair is not defined yet: ``a``'s family was never
@@ -396,7 +395,7 @@ class ModelState:
         if self._frozen:
             raise FrozenStateError("snapshot states are read-only")
 
-    def step(self, event: Optional[PropSet] = None) -> None:
+    def step(self, event: PropSet | None = None) -> None:
         """Process one event, building the next level.
 
         In demand mode ``event`` is required (any built level; it is lifted
@@ -446,9 +445,14 @@ class ModelState:
                       for w, t in pairs]
 
         self._levels.append(build_level(n + 1, self.width(n), blocks))
+        index = len(self.history)
         self.history.append(ProcessedEvent(
-            step=len(self.history), level=n, event=b_mask,
+            step=index, level=n, event=b_mask,
             case=case, nu=nu, blocks=tuple(blocks), lowest=lowest))
+        # a case-0 step keeps its family's lowest form and becomes its match
+        low_level, low_mask = lowest
+        self._matches[lowest] = (index, True)
+        self._matches[low_level, low_mask ^ ((1 << self.width(low_level)) - 1)] = (index, False)
 
         if self.mode == "canonical":
             self._canonical_push(n)
@@ -516,11 +520,11 @@ class ModelState:
     def snapshot(self) -> "ModelState":
         """A read-only view of the levels and history built so far.
 
-        Levels are shared; the level and history lists are copied, so later
-        steps on the owner do not show through.  The shared levels are
-        marked read-many (``Level.read_many``), for the owner too, but not
-        those it builds later: their tables only gain entries, each equal to
-        what the level computes without them.
+        Levels are shared; the level and history lists and the match index
+        are copied, so later steps on the owner do not show through.  The
+        shared levels are marked read-many (``Level.read_many``), for the
+        owner too, but not those it builds later: their tables only gain
+        entries, each equal to what the level computes without them.
         """
         for lvl in self._levels[1:]:
             lvl.read_many()
@@ -528,6 +532,7 @@ class ModelState:
         clone.__dict__ = dict(self.__dict__)
         clone._levels = list(self._levels)
         clone.history = list(self.history)
+        clone._matches = dict(self._matches)
         clone._schedule_items = []
         clone._frozen = True
         return clone

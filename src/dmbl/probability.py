@@ -30,14 +30,14 @@ arithmetic is exact; there is no floating point in this module.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import compress
-from typing import NamedTuple
 
 from .evaluator import _eval
 from .formula import And, Cond, Formula
 from .model import ModelError, ModelState
+from .record import Record, _set
 
 _FLAGS = bytes.maketrans(b"01", b"\x00\x01")
 
@@ -51,13 +51,13 @@ def _weigh(weights: list, bits: int):
     return sum(compress(weights, format(bits, "b")[::-1].encode().translate(_FLAGS)))
 
 
-@dataclass(frozen=True)
-class BaseMeasure:
+class BaseMeasure(Record):
     """Rational weights on the level-0 worlds, summing to one."""
 
-    weights: tuple[Fraction, ...]
+    __slots__ = _fields = ("weights",)
 
-    def __post_init__(self):
+    def __init__(self, weights: tuple[Fraction, ...]):
+        _set(self, "weights", weights)
         if not all(isinstance(w, Fraction) or type(w) is int for w in self.weights):
             raise MeasureError("weights must be Fractions or ints")
         if any(w < 0 for w in self.weights):
@@ -267,10 +267,7 @@ def prob(state: ModelState, m: MeasureState, f: Formula) -> Fraction:
     return m.weight_of(state, _eval(state, f))
 
 
-class BayesResult(NamedTuple):
-    lhs: Fraction
-    rhs: Fraction
-    equal: bool
+BayesResult = namedtuple("BayesResult", ("lhs", "rhs", "equal"))
 
 
 def bayes_check(state: ModelState, m: MeasureState, phi: Formula,

@@ -12,11 +12,10 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
-from typing import Optional
 
 from .formula import (And, Atom, Bot, Box, Formula, Iff, Implies, Not,
                       Or, Top, children, parse, rebuild, to_text)
+from .record import Record, _set
 
 METAVARS = ("phi", "psi", "eta")
 
@@ -80,7 +79,7 @@ def _match(f: Formula, shape: Formula, binding: dict[str, Formula]) -> bool:
                for fc, sc in zip(children(f), children(shape)))
 
 
-def match_schema(f: Formula, schema_id: str) -> Optional[dict[str, Formula]]:
+def match_schema(f: Formula, schema_id: str) -> dict[str, Formula] | None:
     """The metavariable substitution turning the schema into ``f``, or None."""
     shape = SCHEMAS[schema_id]
     binding: dict[str, Formula] = {}
@@ -173,27 +172,35 @@ def replaces(old: Formula, new: Formula, a: Formula, b: Formula) -> bool:
 
 # --- derivations --------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Line:
-    formula: Formula
-    rule: str                      # schema id, or one of RULES
-    refs: tuple[int, ...] = ()     # 1-based indices of earlier lines
-    subst: Optional[dict[str, Formula]] = None
+class Line(Record):
+    __slots__ = _fields = ("formula", "rule", "refs", "subst")
+
+    def __init__(self, formula: Formula, rule: str, refs: tuple[int, ...] = (),
+                 subst: dict[str, Formula] | None = None):
+        _set(self, "formula", formula)
+        _set(self, "rule", rule)        # schema id, or one of RULES
+        _set(self, "refs", refs)        # 1-based indices of earlier lines
+        _set(self, "subst", subst)
 
 
-@dataclass(frozen=True)
-class Derivation:
-    logic: str
-    lines: tuple[Line, ...]
-    target: Formula
-    name: str = ""
+class Derivation(Record):
+    __slots__ = _fields = ("logic", "lines", "target", "name")
+
+    def __init__(self, logic: str, lines: tuple[Line, ...], target: Formula,
+                 name: str = ""):
+        _set(self, "logic", logic)
+        _set(self, "lines", lines)
+        _set(self, "target", target)
+        _set(self, "name", name)
 
 
-@dataclass(frozen=True)
-class Verdict:
-    ok: bool
-    line: Optional[int] = None       # 1-based index of the first failing line
-    reason: Optional[str] = None
+class Verdict(Record):
+    __slots__ = _fields = ("ok", "line", "reason")
+
+    def __init__(self, ok: bool, line: int | None = None, reason: str | None = None):
+        _set(self, "ok", ok)
+        _set(self, "line", line)        # 1-based index of the first failing line
+        _set(self, "reason", reason)
 
     def __bool__(self) -> bool:
         return self.ok
@@ -221,7 +228,7 @@ def _ref(d: Derivation, num: int, r: int) -> Formula:
     return d.lines[r - 1].formula
 
 
-def _check_line(d: Derivation, num: int, line: Line, allowed) -> Optional[str]:
+def _check_line(d: Derivation, num: int, line: Line, allowed) -> str | None:
     try:
         if line.rule in SCHEMAS:
             if line.rule not in allowed:
@@ -270,11 +277,13 @@ def _check_line(d: Derivation, num: int, line: Line, allowed) -> Optional[str]:
         return str(exc)
 
 
-@dataclass(frozen=True)
-class CrossReport:
-    name: str
-    accepted: bool
-    model_valid: Optional[bool]
+class CrossReport(Record):
+    __slots__ = _fields = ("name", "accepted", "model_valid")
+
+    def __init__(self, name: str, accepted: bool, model_valid: bool | None):
+        _set(self, "name", name)
+        _set(self, "accepted", accepted)
+        _set(self, "model_valid", model_valid)
 
     @property
     def sound(self) -> bool:

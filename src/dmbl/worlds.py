@@ -20,10 +20,10 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from itertools import compress
 from operator import itemgetter
-from typing import Optional
+
+from .record import Record, _set
 
 
 class WorldsError(Exception):
@@ -81,13 +81,15 @@ def mask_of(indices) -> int:
     return out
 
 
-@dataclass(frozen=True)
-class PropSet:
+class PropSet(Record):
     """A proposition: a set of worlds at one level, as a bitmask."""
 
-    level: int
-    mask: int
-    width: int
+    __slots__ = _fields = ("level", "mask", "width")
+
+    def __init__(self, level: int, mask: int, width: int):
+        _set(self, "level", level)
+        _set(self, "mask", mask)
+        _set(self, "width", width)
 
     def _check(self, other: "PropSet") -> None:
         if self.level != other.level or self.width != other.width:
@@ -150,8 +152,7 @@ class PropSet:
     __sub__ = minus
 
 
-@dataclass(frozen=True)
-class Level:
+class Level(Record):
     """One constructed level, stored by rows (absent at level 0).
 
     ``blocks`` lists each block's (Pi, Gamma) members over the
@@ -163,12 +164,18 @@ class Level:
     ``pairs``, each world's (left, right) pair, serves dumps and tests.
     """
 
-    index: int
-    width: int
-    split: Optional[int] = None
-    prev_width: Optional[int] = None
-    blocks: Optional[list] = None
-    masks: Optional[list] = None
+    # no __slots__: cached_property and read_many store into __dict__
+    _fields = ("index", "width", "split", "prev_width", "blocks", "masks")
+
+    def __init__(self, index: int, width: int, split: int | None = None,
+                 prev_width: int | None = None, blocks: list | None = None,
+                 masks: list | None = None):
+        _set(self, "index", index)
+        _set(self, "width", width)
+        _set(self, "split", split)
+        _set(self, "prev_width", prev_width)
+        _set(self, "blocks", blocks)
+        _set(self, "masks", masks)
 
     def read_many(self) -> None:
         """Answer this level's maps whose source mask has at most
@@ -379,7 +386,7 @@ class Level:
         return sum(_filled(rows, s, count, length) << start
                    for _, start, count, length, rows, *_ in self._segments)
 
-    def pull(self, mask: int) -> Optional[int]:
+    def pull(self, mask: int) -> int | None:
         """The set of the previous level that lifts to ``mask``, or None: each
         row must lie wholly inside or wholly outside ``mask``.  A wide level
         checks a run at a time, as ``(f << length) - f`` (no carries), ``f``

@@ -314,6 +314,22 @@ def test_snapshot_isolated_from_later_growth():
     assert len(snap.history) == 1
 
 
+def test_case_zero_step_becomes_its_familys_match():
+    s = ModelState.from_atoms(["p", "q"])
+    p, q = s.h("p"), s.h("q")
+    s.step(p)
+    s.step(s.lift(q, 1))
+    snap = s.snapshot()
+    s.step(s.lift(p.complement(), 2))    # re-processes p's family
+    assert s.history[2].case == 0 and s.history[2].nu == 0
+    assert s._find_match(p.mask, 0) == (2, True)
+    assert s._find_match(p.complement().mask, 0) == (2, False)
+    assert s._find_match(q.mask, 0) == snap._find_match(q.mask, 0) == (1, True)
+    # the snapshot's index is a copy: the owner's later step does not show
+    assert snap._find_match(p.mask, 0) == (0, True)
+    assert snap._find_match(p.complement().mask, 0) == (0, False)
+
+
 def test_snapshot_refuses_growth_through_ensure():
     from dmbl.evaluator import assign
     from dmbl.formula import parse
