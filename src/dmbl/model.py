@@ -30,10 +30,12 @@ from __future__ import annotations
 import functools
 
 from .record import Record, _set
-from .worlds import Level, PropSet, WorldsError, bit_indices, build_level, mask_of
+from .worlds import (NARROW_WIDTH, Level, PropSet, WorldsError, bit_indices, build_level,
+                     mask_of)
 
 
 CANONICAL_ENUM_WIDTH = 16   # widest level whose 2^width sets a task list may list
+INTERN_WIDTH = 1 << 16      # widest level models share through _interned_level
 
 
 class ModelError(Exception):
@@ -80,6 +82,22 @@ class ProcessedEvent(Record):
         _set(self, "nu", nu)
         _set(self, "blocks", blocks)
         _set(self, "lowest", lowest)
+
+
+@functools.lru_cache(maxsize=64)
+def _interned_level(index: int, prev_width: int, blocks: tuple) -> Level:
+    """The level ``build_level`` assembles from these blocks, one object per
+    process for the 64 keys used last.
+
+    A level is a pure function of its index, the width below and its
+    blocks, so every model that processes the same events shares it, with
+    the tables it builds on first reads.  It is marked read-many here, so
+    its byte tables fill once per process, not once per model.  A refused
+    build is not cached.
+    """
+    level = build_level(index, prev_width, blocks)
+    level.read_many()
+    return level
 
 
 def _pair_key(mask: int) -> tuple:
@@ -170,6 +188,8 @@ class ModelState:
         # lowest form -> (step, direct): the latest step whose event has that
         # lowest form (direct) or its complement's (not direct)
         self._matches: dict[tuple[int, int], tuple[int, bool]] = {}
+        # (level, mask) -> _lowest's answer, for sets of narrow levels
+        self._lows: dict[tuple[int, int], tuple[int, int]] = {}
 
         if schedule == "canonical":
             if task_list is None:
@@ -330,9 +350,20 @@ class ModelState:
     # --- the conditional map ----------------------------------------------
 
     def _lowest(self, mask: int, level: int) -> tuple[int, int]:
-        """The set's lowest preimage as ``(level, mask)``: pulled while it has one."""
+        """The set's lowest preimage as ``(level, mask)``: pulled while it has one.
+
+        Remembered for sets of levels at most ``NARROW_WIDTH`` worlds wide
+        (a wide mask costs its width to hash).  No entry goes stale: the
+        levels a set is pulled through never change once built.
+        """
+        key = (level, mask)
+        if narrow := self._levels[level].width <= NARROW_WIDTH:
+            if (low := self._lows.get(key)) is not None:
+                return low
         while level and (pulled := self._levels[level].pull(mask)) is not None:
             mask, level = pulled, level - 1
+        if narrow:
+            self._lows[key] = level, mask
         return level, mask
 
     def _find_match(self, mask: int, level: int,
@@ -422,7 +453,7 @@ class ModelState:
         lowest = self._lowest(event.mask, event.level)
         match = self._find_match(event.mask, event.level, lowest)
         if match is None:
-            blocks = [(b_mask, b_mask ^ full)]
+            blocks = ((b_mask, b_mask ^ full),)
             case, nu = 1, None
             width = 2 * b_mask.bit_count() * (b_mask ^ full).bit_count()
         else:
@@ -441,14 +472,15 @@ class ModelState:
 
         self._check_width([lvl.width for lvl in self._levels], width)
         if case == 0:
-            blocks = [(self._lift_mask(1 << w, base, n), self._lift_mask(1 << t, base, n))
-                      for w, t in pairs]
+            blocks = tuple((self._lift_mask(1 << w, base, n), self._lift_mask(1 << t, base, n))
+                           for w, t in pairs)
 
-        self._levels.append(build_level(n + 1, self.width(n), blocks))
+        build = _interned_level if width <= INTERN_WIDTH else build_level
+        self._levels.append(build(n + 1, self.width(n), blocks))
         index = len(self.history)
         self.history.append(ProcessedEvent(
             step=index, level=n, event=b_mask,
-            case=case, nu=nu, blocks=tuple(blocks), lowest=lowest))
+            case=case, nu=nu, blocks=blocks, lowest=lowest))
         # a case-0 step keeps its family's lowest form and becomes its match
         low_level, low_mask = lowest
         self._matches[lowest] = (index, True)
@@ -520,19 +552,18 @@ class ModelState:
     def snapshot(self) -> "ModelState":
         """A read-only view of the levels and history built so far.
 
-        Levels are shared; the level and history lists and the match index
-        are copied, so later steps on the owner do not show through.  The
-        shared levels are marked read-many (``Level.read_many``), for the
-        owner too, but not those it builds later: their tables only gain
-        entries, each equal to what the level computes without them.
+        Levels are shared, as they are between any models that processed
+        the same events; the level and history lists, the match index and
+        the memo of lowest preimages are copied, so later steps on the owner
+        do not show through.  A level's tables only gain entries, each
+        equal to what the level computes without them.
         """
-        for lvl in self._levels[1:]:
-            lvl.read_many()
         clone = object.__new__(ModelState)
         clone.__dict__ = dict(self.__dict__)
         clone._levels = list(self._levels)
         clone.history = list(self.history)
         clone._matches = dict(self._matches)
+        clone._lows = dict(self._lows)
         clone._schedule_items = []
         clone._frozen = True
         return clone

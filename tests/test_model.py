@@ -1,6 +1,10 @@
 import functools
+import gc
 import json
 import random
+import sys
+import threading
+import weakref
 from fractions import Fraction
 from itertools import takewhile
 
@@ -548,16 +552,40 @@ def test_undefined_agrees_with_naive_reference(seed):
 # --- the conditional's value built by rows --------------------------------
 
 
-def _depth_four_ladder():
-    s = ModelState.from_atoms(["p", "q"])
-    assign(s, parse("((((q|p)|q)|p /\\ q)|p \\/ q)"))
+DEPTH_FOUR = "((((q|p)|q)|p /\\ q)|p \\/ q)"
+
+
+def _plain_levels(s):
+    # the model's levels above 0 built again by build_level from its
+    # history's blocks: equal to its own, but unmarked and held by no model
+    return [worlds.build_level(ev.level + 1, s.width(ev.level), ev.blocks)
+            for ev in s.history]
+
+
+def _unshared(s):
+    # the model on plain levels, so each map runs the level's own code on
+    # every call, as the NARROW_WIDTH a test sets picks it
+    s._levels[1:] = _plain_levels(s)
     return s
 
 
-def test_wide_levels_of_a_prob_read_build_no_per_world_tables():
+@pytest.fixture
+def fresh_intern_table():
+    # no level an earlier test built, dumped or read is shared with this one
+    model._interned_level.cache_clear()
+
+
+def _depth_four_ladder():
+    s = ModelState.from_atoms(["p", "q"])
+    assign(s, parse(DEPTH_FOUR))
+    return _unshared(s)
+
+
+def test_wide_levels_of_a_prob_read_build_no_per_world_tables(fresh_intern_table):
     # the two wide levels are built, lifted onto, pulled off, conditioned and
     # weighed by runs of rows alone; the narrow ones by their tables alone
-    s = _depth_four_ladder()
+    s = ModelState.from_atoms(["p", "q"])
+    assign(s, parse(DEPTH_FOUR))
     m = init_measure(s, BaseMeasure.from_weights(
         [Fraction(1, 2), Fraction(1, 4), Fraction(1, 8), Fraction(1, 8)]))
     assert prob(s, m, parse("((((q|p)|q)|p /\\ q)|p \\/ q) <-> ((q|p)|q)")) == Fraction(2, 3)
@@ -574,7 +602,7 @@ def _case_zero_ladder():
     s.step(s.h("p"))
     s.step(s.lift(s.h("q"), 1))
     s.step(s.lift(s.h("p"), 2))
-    return s
+    return _unshared(s)
 
 
 def _interleaved_ladder():
@@ -587,7 +615,7 @@ def _interleaved_ladder():
     s.step(s.lift(s.from_indices(0, [0]), 3))
     top = s.level(s.top)
     assert len(top._segments) > 2 * len(top.blocks)
-    return s
+    return _unshared(s)
 
 
 def _by_definition(s, b, base, direct):
@@ -827,21 +855,58 @@ def test_a_fresh_event_is_lowered_once_per_step(monkeypatch):
         assert lowered == [event.level]
 
 
+def test_lowest_preimages_of_narrow_sets_are_remembered(monkeypatch):
+    s = ModelState.from_atoms(["p", "q"])
+    assign(s, parse(DEPTH_FOUR))
+    pulls = []
+    real = worlds.Level.pull
+
+    def spy(self, mask):
+        pulls.append(self.index)
+        return real(self, mask)
+
+    monkeypatch.setattr(worlds.Level, "pull", spy)
+
+    def lowest_twice(mask, level):
+        # each answer with the number of pulls it took
+        out = []
+        for _ in range(2):
+            pulls.clear()
+            out.append((s._lowest(mask, level), len(pulls)))
+        return out
+
+    p, q = s.h("p").mask, s.h("q").mask
+    narrow, wide = s.lift(s.h("p"), 2).mask, s.lift(s.h("q"), 4).mask
+    # a set of a 32-world level is pulled down once, one of 40960 worlds each time
+    assert lowest_twice(narrow, 2) == [((0, p), 2), ((0, p), 0)]
+    assert lowest_twice(wide, 4) == [((0, q), 4), ((0, q), 4)]
+    assert s._lows[2, narrow] == (0, p) and (4, wide) not in s._lows
+    # a snapshot copies the memo: the owner's later entries do not show
+    snap = s.snapshot()
+    assert snap._lows == s._lows
+    later = (1, s.lift(s.h("q"), 1).mask)
+    s._lowest(later[1], 1)
+    assert later in s._lows and later not in snap._lows
+
+
 # --- read-many levels answer by byte lookup --------------------------------
 
 
-_READ_MANY_MODELS = ["((((q|p)|q)|p /\\ q)|p \\/ q)", "(((q|p)|q)|~p)"]
+_READ_MANY_MODELS = [DEPTH_FOUR, "(((q|p)|q)|~p)"]
 
 
 @functools.cache
 def _marked_and_plain(text):
-    # a snapshot of the model ``text`` builds, and the same model unmarked
-    marked, plain = ModelState.from_atoms(["p", "q"]), ModelState.from_atoms(["p", "q"])
+    # a snapshot of the model ``text`` builds, on its interned (marked)
+    # levels, and the same levels built again unmarked, from index 1
+    marked = ModelState.from_atoms(["p", "q"])
     assign(marked, parse(text))
-    assign(plain, parse(text))
     snap = marked.snapshot()
+    plain = [None] + _plain_levels(snap)
     assert sorted(_byte_maps(snap.level(1))) == ["conditional", "conditional_here", "lift",
                                                  "transpose"]
+    assert all(plain[n] == snap.level(n) and not _byte_maps(plain[n])
+               for n in range(1, snap.num_levels))
     return snap, plain
 
 
@@ -866,7 +931,7 @@ def _source_masks(width):
 def test_read_many_levels_answer_as_unmarked_ones(text, data):
     snap, plain = _marked_and_plain(text)
     for n in range(1, snap.num_levels):
-        lvl, ref = snap.level(n), plain.level(n)
+        lvl, ref = snap.level(n), plain[n]
         maps = _byte_maps(lvl)
         if "lift" in maps:
             below = data.draw(_source_masks(lvl.prev_width))
@@ -880,23 +945,23 @@ def test_read_many_levels_answer_as_unmarked_ones(text, data):
                 assert lvl.conditional_here(mask, direct) == ref.conditional_here(mask, direct)
 
 
-def test_only_levels_a_snapshot_shares_carry_byte_maps():
+def test_interned_levels_with_a_narrow_source_carry_byte_maps():
     every_map = ["conditional", "conditional_here", "lift", "transpose"]
     s = ModelState.from_atoms(["p", "q"])
     m = init_measure(s, BaseMeasure.from_weights([Fraction(1, 4)] * 4))
     assert prob(s, m, parse("((q|p)|q)")) == Fraction(3, 4)
-    assert all(not vars(s.level(n)).keys() & set(every_map) for n in range(s.num_levels))
+    # a fresh model's levels are marked when interned, and a snapshot shares
+    # them as they are
+    assert [sorted(_byte_maps(s.level(n))) for n in range(3)] == [[], every_map, every_map]
     snap = s.snapshot()
-    assert [sorted(_byte_maps(snap.level(n))) for n in range(3)] == [[], every_map, every_map]
-    # the owner shares the marked levels; a level it builds later is unmarked
     assert all(s.level(n) is snap.level(n) for n in range(3))
     assign(s, parse("(((q|p)|q)|~p)"))
     assert [s.width(n) for n in range(s.num_levels)] == [4, 8, 32, 128]
-    assert not _byte_maps(s.level(3)) and snap.num_levels == 3
     # the maps from 32 worlds onto 128 are looked up, the swap on 128 is not;
     # on the depth-four ladder nothing from 384 worlds onto 40960 is
-    assert sorted(_byte_maps(s.snapshot().level(3))) == ["conditional", "lift"]
-    deep, _ = _marked_and_plain(_READ_MANY_MODELS[0])
+    assert sorted(_byte_maps(s.level(3))) == ["conditional", "lift"]
+    deep = ModelState.from_atoms(["p", "q"])
+    assign(deep, parse(DEPTH_FOUR))
     assert [deep.width(n) for n in range(deep.num_levels)] == [4, 8, 32, 384, 40960]
     assert not _byte_maps(deep.level(4))
     for lvl in [s.level(n) for n in range(1, 4)] + [deep.level(n) for n in range(1, 5)]:
@@ -925,3 +990,81 @@ def test_byte_tables_stay_within_their_bound(text):
                     assert len(table) <= 256
                     assert all(value.bit_length() <= lvl.width <= 2048
                                for value in table.values())
+
+
+# --- levels shared between models --------------------------------------------
+
+
+def test_two_models_running_one_query_share_their_levels():
+    f = parse(DEPTH_FOUR)
+    first, second = ModelState.from_atoms(["p", "q"]), ModelState.from_atoms(["p", "q"])
+    assign(first, f)
+    assign(second, f)
+    assert [second.width(n) for n in range(second.num_levels)] == [4, 8, 32, 384, 40960]
+    assert all(first.level(n) is second.level(n) for n in range(1, 5))
+    assert first.history == second.history
+
+
+def test_a_lower_cap_refuses_a_cached_ladder_as_an_uncached_one(fresh_intern_table):
+    f = parse(DEPTH_FOUR)
+
+    def refusal():
+        s = ModelState.from_atoms(["p", "q"], max_worlds=1000)
+        with pytest.raises(CapExceededError) as info:
+            assign(s, f)
+        return str(info.value), [s.width(n) for n in range(s.num_levels)]
+
+    uncached = refusal()
+    assign(ModelState.from_atoms(["p", "q"]), f)     # interns the 40960-world level
+    assert refusal() == uncached == (
+        "level too wide: 4 → 8 → 32 → 384 → 40960 > cap 1000", [4, 8, 32, 384])
+
+
+@pytest.mark.parametrize("worlds_below,kept", [(400, False), (300, True)],
+                         ids=["80000-worlds", "45000-worlds"])
+def test_only_levels_within_the_intern_width_outlive_their_model(worlds_below, kept):
+    s = ModelState.from_worlds([str(i) for i in range(worlds_below)])
+    s.step(s.from_indices(0, range(worlds_below // 2)))
+    assert (s.width(1) <= model.INTERN_WIDTH) == kept
+    level = weakref.ref(s.level(1))
+    del s
+    gc.collect()
+    assert (level() is not None) == kept
+
+
+def test_the_intern_table_holds_at_most_64_levels():
+    # 80 one-step models, each on its own event of 81 worlds
+    for k in range(1, 81):
+        s = ModelState.from_worlds([str(i) for i in range(81)])
+        s.step(s.from_indices(0, range(k)))
+        assert s.width(1) == 2 * k * (81 - k)
+        assert model._interned_level.cache_info().currsize <= 64
+    assert model._interned_level.cache_info().currsize == 64
+    assert s.level(1) is model._interned_level(1, 81, s.history[0].blocks)
+
+
+def test_threads_building_one_ladder_agree(fresh_intern_table):
+    # more threads than cores, switching often, all filling the tables of
+    # the same interned levels for the first time
+    f = parse(DEPTH_FOUR + " <-> ((q|p)|q)")
+    pi = BaseMeasure.from_weights([Fraction(1, 2), Fraction(1, 4), Fraction(1, 8),
+                                   Fraction(1, 8)])
+    results = [None] * 4
+
+    def run(i):
+        s = ModelState.from_atoms(["p", "q"])
+        value = prob(s, init_measure(s, pi), f)
+        results[i] = value, [s.width(n) for n in range(s.num_levels)]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(len(results))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert results == [(Fraction(2, 3), [4, 8, 32, 384, 40960])] * len(results)
