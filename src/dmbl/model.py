@@ -35,7 +35,8 @@ from .worlds import (NARROW_WIDTH, Level, PropSet, WorldsError, bit_indices, bui
 
 
 CANONICAL_ENUM_WIDTH = 16   # widest level whose 2^width sets a task list may list
-INTERN_WIDTH = 1 << 16      # widest level models share through _interned_level
+INTERN_WIDTH = 1 << 16      # widest level models share through _shared_level
+INTERN_PREV_WIDTH = 512     # widest level below a level models share
 
 
 class ModelError(Exception):
@@ -85,19 +86,27 @@ class ProcessedEvent(Record):
 
 
 @functools.lru_cache(maxsize=64)
-def _interned_level(index: int, prev_width: int, blocks: tuple) -> Level:
+def _interned(index: int, prev_width: int, blocks: tuple) -> list:
+    # [the level, how many steps took it]; a refused build is not cached
+    return [build_level(index, prev_width, blocks), 0]
+
+
+def _shared_level(index: int, prev_width: int, blocks: tuple) -> Level:
     """The level ``build_level`` assembles from these blocks, one object per
     process for the 64 keys used last.
 
     A level is a pure function of its index, the width below and its
     blocks, so every model that processes the same events shares it, with
-    the tables it builds on first reads.  It is marked read-many here, so
-    its byte tables fill once per process, not once per model.  A refused
-    build is not cached.
+    the tables it builds on first reads.  Its first reuse marks it
+    read-many, so its byte tables fill once per process; a level one model
+    builds and reads (a one-shot command) keeps the direct path, which is
+    faster for a few reads.
     """
-    level = build_level(index, prev_width, blocks)
-    level.read_many()
-    return level
+    entry = _interned(index, prev_width, blocks)
+    uses = entry[1] = entry[1] + 1
+    if uses == 2:
+        entry[0].read_many()
+    return entry[0]
 
 
 def _pair_key(mask: int) -> tuple:
@@ -475,7 +484,8 @@ class ModelState:
             blocks = tuple((self._lift_mask(1 << w, base, n), self._lift_mask(1 << t, base, n))
                            for w, t in pairs)
 
-        build = _interned_level if width <= INTERN_WIDTH else build_level
+        shared = width <= INTERN_WIDTH and self.width(n) <= INTERN_PREV_WIDTH
+        build = _shared_level if shared else build_level
         self._levels.append(build(n + 1, self.width(n), blocks))
         index = len(self.history)
         self.history.append(ProcessedEvent(
@@ -555,9 +565,12 @@ class ModelState:
         Levels are shared, as they are between any models that processed
         the same events; the level and history lists, the match index and
         the memo of lowest preimages are copied, so later steps on the owner
-        do not show through.  A level's tables only gain entries, each
-        equal to what the level computes without them.
+        do not show through.  The shared levels are marked read-many
+        (``Level.read_many``), for the owner too: a level's tables only
+        gain entries, each equal to what the level computes without them.
         """
+        for lvl in self._levels[1:]:
+            lvl.read_many()
         clone = object.__new__(ModelState)
         clone.__dict__ = dict(self.__dict__)
         clone._levels = list(self._levels)

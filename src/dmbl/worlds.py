@@ -9,11 +9,13 @@ index space.  ``Level`` alone reads that layout and picks, by its width,
 how each operation on it runs: lifts by ``mu``, pulls, the coordinate swap,
 a conditional's value and the rows a measure weighs a set by.
 
-A read-many level (``Level.read_many``: every level the model's intern
-table holds) answers each of those maps whose source mask is at most
-``NARROW_WIDTH`` bits wide by byte lookup: the map preserves unions, so its
-value is the OR of its values on the mask's bytes, each computed once per
-process.
+A read-many level (``Level.read_many``: a level a snapshot shares, or one
+a second model takes from the model's table of shared levels) answers
+each of those maps whose source mask is at most ``NARROW_WIDTH`` bits wide
+by byte lookup: the map preserves unions, so its value is the OR of its
+values on the mask's bytes, each computed once per process.  A level one
+model builds and reads keeps the direct path, since it is read too few
+times to repay filling the tables.
 """
 
 from __future__ import annotations
@@ -190,9 +192,11 @@ class Level(Record):
         methods with no check at all.  Reading every byte value fills at
         most 256 entries per byte position per map, and no entry is wider
         than this level, at most ``prev_width**2 // 2`` bits: 2048 for a
-        64-world level below.  Racing first reads store equal entries.
-        The model marks each level it interns (``model._interned_level``),
-        so the tables serve every model that builds the level.
+        64-world level below.  Racing first reads store equal entries,
+        and marking a marked level again keeps the maps it has.  The model
+        marks a level a snapshot shares or a second model takes from its
+        table (``model._shared_level``): a level built and read once is
+        faster without tables, which cost more to fill than a few reads save.
         """
         maps = {}
         if self.prev_width <= NARROW_WIDTH:

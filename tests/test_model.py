@@ -572,7 +572,7 @@ def _unshared(s):
 @pytest.fixture
 def fresh_intern_table():
     # no level an earlier test built, dumped or read is shared with this one
-    model._interned_level.cache_clear()
+    model._interned.cache_clear()
 
 
 def _depth_four_ladder():
@@ -633,8 +633,10 @@ def _by_definition(s, b, base, direct):
     (_interleaved_ladder, [3, 4, 8, 24, 160]),
 ], ids=["depth-four", "case-zero", "interleaved"])
 def test_conditional_by_rows_matches_definition(build, ladder, narrow, monkeypatch):
-    monkeypatch.setattr(worlds, "NARROW_WIDTH", narrow)
+    # built before the width is set, so no level is shared under a patched
+    # width; the ladder's own levels are plain and follow the width read
     s = build()
+    monkeypatch.setattr(worlds, "NARROW_WIDTH", narrow)
     assert [s.width(n) for n in range(s.num_levels)] == ladder
     defining = {}   # the levels where f_eval reads a family, with its event
     for ev in s.history:
@@ -897,8 +899,8 @@ _READ_MANY_MODELS = [DEPTH_FOUR, "(((q|p)|q)|~p)"]
 
 @functools.cache
 def _marked_and_plain(text):
-    # a snapshot of the model ``text`` builds, on its interned (marked)
-    # levels, and the same levels built again unmarked, from index 1
+    # a snapshot of the model ``text`` builds, on its levels (which the
+    # snapshot marks), and the same levels built again unmarked, from index 1
     marked = ModelState.from_atoms(["p", "q"])
     assign(marked, parse(text))
     snap = marked.snapshot()
@@ -945,23 +947,23 @@ def test_read_many_levels_answer_as_unmarked_ones(text, data):
                 assert lvl.conditional_here(mask, direct) == ref.conditional_here(mask, direct)
 
 
-def test_interned_levels_with_a_narrow_source_carry_byte_maps():
+def test_only_levels_a_snapshot_shares_carry_byte_maps(fresh_intern_table):
     every_map = ["conditional", "conditional_here", "lift", "transpose"]
     s = ModelState.from_atoms(["p", "q"])
     m = init_measure(s, BaseMeasure.from_weights([Fraction(1, 4)] * 4))
     assert prob(s, m, parse("((q|p)|q)")) == Fraction(3, 4)
-    # a fresh model's levels are marked when interned, and a snapshot shares
-    # them as they are
-    assert [sorted(_byte_maps(s.level(n))) for n in range(3)] == [[], every_map, every_map]
+    assert all(not vars(s.level(n)).keys() & set(every_map) for n in range(s.num_levels))
     snap = s.snapshot()
+    assert [sorted(_byte_maps(snap.level(n))) for n in range(3)] == [[], every_map, every_map]
+    # the owner shares the marked levels; a level it builds later is unmarked
     assert all(s.level(n) is snap.level(n) for n in range(3))
     assign(s, parse("(((q|p)|q)|~p)"))
     assert [s.width(n) for n in range(s.num_levels)] == [4, 8, 32, 128]
+    assert not _byte_maps(s.level(3)) and snap.num_levels == 3
     # the maps from 32 worlds onto 128 are looked up, the swap on 128 is not;
     # on the depth-four ladder nothing from 384 worlds onto 40960 is
-    assert sorted(_byte_maps(s.level(3))) == ["conditional", "lift"]
-    deep = ModelState.from_atoms(["p", "q"])
-    assign(deep, parse(DEPTH_FOUR))
+    assert sorted(_byte_maps(s.snapshot().level(3))) == ["conditional", "lift"]
+    deep, _ = _marked_and_plain(_READ_MANY_MODELS[0])
     assert [deep.width(n) for n in range(deep.num_levels)] == [4, 8, 32, 384, 40960]
     assert not _byte_maps(deep.level(4))
     for lvl in [s.level(n) for n in range(1, 4)] + [deep.level(n) for n in range(1, 5)]:
@@ -970,6 +972,26 @@ def test_interned_levels_with_a_narrow_source_carry_byte_maps():
             lvl.prev_width <= worlds.NARROW_WIDTH)
         assert ("transpose" in maps) == ("conditional_here" in maps) == (
             lvl.width <= worlds.NARROW_WIDTH)
+
+
+def test_a_level_a_second_model_takes_carries_byte_maps(fresh_intern_table):
+    every_map = ["conditional", "conditional_here", "lift", "transpose"]
+    pi = BaseMeasure.from_weights([Fraction(1, 4)] * 4)
+
+    def run():
+        s = ModelState.from_atoms(["p", "q"])
+        assert prob(s, init_measure(s, pi), parse("((q|p)|q)")) == Fraction(3, 4)
+        return s
+
+    # the model that builds a level reads it directly; the next model to
+    # take it from the table marks it, and it keeps its maps for every later one
+    first = run()
+    assert not any(_byte_maps(first.level(n)) for n in range(3))
+    for _ in range(2):
+        later = run()
+        assert all(first.level(n) is later.level(n) for n in range(1, 3))
+        assert [sorted(_byte_maps(later.level(n))) for n in range(3)] == [
+            [], every_map, every_map]
 
 
 @pytest.mark.parametrize("text", _READ_MANY_MODELS, ids=["depth-four", "case-zero"])
@@ -1020,12 +1042,14 @@ def test_a_lower_cap_refuses_a_cached_ladder_as_an_uncached_one(fresh_intern_tab
         "level too wide: 4 → 8 → 32 → 384 → 40960 > cap 1000", [4, 8, 32, 384])
 
 
-@pytest.mark.parametrize("worlds_below,kept", [(400, False), (300, True)],
-                         ids=["80000-worlds", "45000-worlds"])
-def test_only_levels_within_the_intern_width_outlive_their_model(worlds_below, kept):
+@pytest.mark.parametrize("worlds_below,event,kept", [
+    (400, 200, False), (300, 150, True), (600, 16, False)],
+    ids=["80000-worlds", "45000-worlds", "18688-worlds-from-600"])
+def test_only_levels_within_the_intern_widths_outlive_their_model(worlds_below, event, kept):
     s = ModelState.from_worlds([str(i) for i in range(worlds_below)])
-    s.step(s.from_indices(0, range(worlds_below // 2)))
-    assert (s.width(1) <= model.INTERN_WIDTH) == kept
+    s.step(s.from_indices(0, range(event)))
+    assert (s.width(1) <= model.INTERN_WIDTH
+            and worlds_below <= model.INTERN_PREV_WIDTH) == kept
     level = weakref.ref(s.level(1))
     del s
     gc.collect()
@@ -1038,14 +1062,14 @@ def test_the_intern_table_holds_at_most_64_levels():
         s = ModelState.from_worlds([str(i) for i in range(81)])
         s.step(s.from_indices(0, range(k)))
         assert s.width(1) == 2 * k * (81 - k)
-        assert model._interned_level.cache_info().currsize <= 64
-    assert model._interned_level.cache_info().currsize == 64
-    assert s.level(1) is model._interned_level(1, 81, s.history[0].blocks)
+        assert model._interned.cache_info().currsize <= 64
+    assert model._interned.cache_info().currsize == 64
+    assert s.level(1) is model._interned(1, 81, s.history[0].blocks)[0]
 
 
 def test_threads_building_one_ladder_agree(fresh_intern_table):
     # more threads than cores, switching often, all filling the tables of
-    # the same interned levels for the first time
+    # the same shared levels for the first time
     f = parse(DEPTH_FOUR + " <-> ((q|p)|q)")
     pi = BaseMeasure.from_weights([Fraction(1, 2), Fraction(1, 4), Fraction(1, 8),
                                    Fraction(1, 8)])
