@@ -12,7 +12,10 @@ so the form is ``S | T(S)`` with ``S = C & mu(b)`` (``S = C & ~mu(b)``
 for the complement orientation).  The defining level builds the value
 (``Level.conditional`` from ``C`` one level below it, or
 ``Level.conditional_here`` from ``C`` pulled to it) and picks how by its
-width, as it does for lifts by ``mu`` onto it and pulls off it.
+width, as it does for lifts by ``mu`` onto it and pulls off it.  A wide
+conditional at the top of a ``prob`` query is weighed from its runs and
+never built: ``ensure(b, a, runs=True)`` returns it as
+``ConditionalRuns``, the triples of ``Level.conditional_runs``.
 
 Processing the same event family again (case 0) refines the blocks from
 the level that first processed it; a fresh event (case 1) uses the single
@@ -107,6 +110,17 @@ def _shared_level(index: int, prev_width: int, blocks: tuple) -> Level:
     if uses == 2:
         entry[0].read_many()
     return entry[0]
+
+
+class ConditionalRuns(Record):
+    """A wide conditional's value, unbuilt: its defining ``level`` and the
+    ``Level.conditional_runs`` triples of its runs of rows."""
+
+    __slots__ = _fields = ("level", "runs")
+
+    def __init__(self, level: int, runs: list):
+        _set(self, "level", level)
+        _set(self, "runs", runs)
 
 
 def _pair_key(mask: int) -> tuple:
@@ -385,12 +399,13 @@ class ModelState:
         """
         return self._matches.get(self._lowest(mask, level) if low is None else low)
 
-    def _conditional(self, b: PropSet, a: PropSet) -> PropSet | None:
+    def _conditional(self, b: PropSet, a: PropSet,
+                     runs: bool = False) -> PropSet | ConditionalRuns | None:
         """``f(b, a)`` at the higher of the operands' and the defining level.
 
         None when the pair is not defined yet: ``a``'s family was never
         processed, or ``b`` does not embed at the level right after the
-        step that last processed it.
+        step that last processed it.  ``runs`` is ``ensure``'s.
         """
         if a.is_empty or a.is_full:
             return self.lift(b, max(b.level, a.level))
@@ -401,7 +416,10 @@ class ModelState:
         base = self.history[idx].level + 1
         lvl = self._levels[base]
         if b.level < base:
-            value = lvl.conditional(self._lift_mask(b.mask, b.level, base - 1), direct)
+            below = self._lift_mask(b.mask, b.level, base - 1)
+            if runs and a.level <= base and lvl.width > NARROW_WIDTH:
+                return ConditionalRuns(base, lvl.conditional_runs(below, direct))
+            value = lvl.conditional(below, direct)
         else:
             pulled = b if b.level == base else self.image_test(b, base)
             if pulled is None:
@@ -499,7 +517,7 @@ class ModelState:
         if self.mode == "canonical":
             self._canonical_push(n)
 
-    def ensure(self, b: PropSet, a: PropSet) -> PropSet:
+    def ensure(self, b: PropSet, a: PropSet, runs: bool = False) -> PropSet | ConditionalRuns:
         """Run steps until ``f(b, a)`` is defined; return it.
 
         The value equals ``f_eval(b, a)`` after the steps: it sits at the
@@ -509,19 +527,25 @@ class ModelState:
         advances the task list until the pair is defined, which may hit
         the resource caps.  A snapshot returns a defined pair's value and
         raises :class:`FrozenStateError` for any other.
+
+        With ``runs``, a value at its own defining level, wider than
+        ``NARROW_WIDTH``, with ``b`` below that level, comes unbuilt as its
+        ``ConditionalRuns``, which a measure weighs run by run; ``prob``
+        reads a conditional at the top this way.  Any other value is the
+        same ``PropSet``.
         """
-        value = self._conditional(b, a)
+        value = self._conditional(b, a, runs)
         if value is None:
             self._assert_writable()
             if self.mode == "demand":
                 self.step(a)
-                value = self._conditional(b, a)
+                value = self._conditional(b, a, runs)
                 if value is None:
                     raise ModelError("internal error: step did not define the pair")
             else:
                 while value is None:
                     self.step()
-                    value = self._conditional(b, a)
+                    value = self._conditional(b, a, runs)
         return value
 
     # --- canonical task list -----------------------------------------------

@@ -15,6 +15,9 @@ it as triples ``(k, pattern, rows)`` (``Level.row_groups``): the rows
 ``rows`` of half ``k ^ 1`` all read ``pattern`` over half ``k``, so each
 triple costs one product.  On a wide level, a rank-one run of rows, as
 every run of a conditional's value ``S | T(S)`` is, makes one triple.
+A wide conditional at the top of a ``prob`` query is weighed from its
+runs and never built: ``ModelState.ensure`` with ``runs`` hands over the
+triples of ``Level.conditional_runs`` in place of the set.
 A new measure stores level 0 alone, so attaching one to a wide model
 allocates nothing: a level is stored when a read needs it, or when
 ``extend_to`` asks for it.
@@ -36,7 +39,7 @@ from itertools import compress
 
 from .evaluator import _eval
 from .formula import And, Cond, Formula
-from .model import ModelError, ModelState
+from .model import ConditionalRuns, ModelError, ModelState
 from .record import Record, _set
 
 _FLAGS = bytes.maketrans(b"01", b"\x00\x01")
@@ -198,9 +201,10 @@ class MeasureState:
         Level 0 sums its stored weights.  Above it, each row meeting the
         set adds ``w[x]`` times its partners' weights in the set, and each
         half's total is scaled by the half's factor once.  The rows come as
-        ``Level.row_groups`` triples ``(k, pattern, rows)``: a triple adds
-        the weight of ``rows`` in half ``k ^ 1`` times that of ``pattern`` in
-        half ``k``, one product.
+        triples ``(k, pattern, rows)``, from a ``ConditionalRuns`` value's
+        runs or else from ``Level.row_groups``: a triple adds the weight of
+        ``rows`` in half ``k ^ 1`` times that of ``pattern`` in half ``k``,
+        one product, and a triple with an empty part adds nothing.
         """
         n = value.level
         if n == 0:
@@ -208,13 +212,20 @@ class MeasureState:
         self.extend_to(state, n - 1)
         halves, scale, factors = self._step(state, n - 1)
         totals = [0] * len(halves)
-        for k, pattern, rows in state.level(n).row_groups(value.mask):
-            totals[k] += _weigh(halves[k ^ 1], rows) * _weigh(halves[k], pattern)
+        triples = (value.runs if type(value) is ConditionalRuns
+                   else state.level(n).row_groups(value.mask))
+        for k, pattern, rows in triples:
+            if pattern and rows:
+                totals[k] += _weigh(halves[k ^ 1], rows) * _weigh(halves[k], pattern)
         mass = sum(f * t for f, t in zip(factors, totals) if t)
         return mass, self._denoms[n - 1] * scale
 
     def weight_of(self, state: ModelState, value) -> Fraction:
-        return Fraction(*self._mass(state, value))
+        """The weight of ``value``, a ``PropSet`` or a ``ConditionalRuns``."""
+        return self._fraction(*self._mass(state, value))
+
+    def _fraction(self, mass, den: int) -> Fraction:
+        return Fraction(mass, den)
 
 
 class _LeadingMeasure(MeasureState):
@@ -244,12 +255,12 @@ class _LeadingMeasure(MeasureState):
         return [Fraction(x.coeff, den) if x.order == 0 else Fraction(0)
                 for x in self._levels[n]]
 
-    def weight_of(self, state: ModelState, value) -> Fraction:
-        """The limit of ``value``'s weight: its coefficient at order 0."""
-        total, den = self._mass(state, value)
-        if value.is_empty or total.order > 0:
+    def _fraction(self, mass, den: int) -> Fraction:
+        """The limit of a mass: its coefficient at order 0.  An empty set's
+        mass is the int 0, and any other set's a positive leading term."""
+        if mass == 0 or mass.order > 0:
             return Fraction(0)
-        return Fraction(total.coeff, den)
+        return Fraction(mass.coeff, den)
 
 
 def init_measure(state: ModelState, pi: BaseMeasure) -> MeasureState:
@@ -263,7 +274,15 @@ def init_measure(state: ModelState, pi: BaseMeasure) -> MeasureState:
 
 def prob(state: ModelState, m: MeasureState, f: Formula) -> Fraction:
     """Exact probability of a formula: the weight of its value set, read at
-    the value's natural level (extension keeps an embedded set's weight)."""
+    the value's natural level (extension keeps an embedded set's weight).
+
+    A conditional at the top is read through ``ModelState.ensure`` with
+    ``runs``, so a wide value at its defining level is weighed from its
+    runs and never built.  Its operands are evaluated as ``_eval`` does, consequent first,
+    and are not held while the value is read.
+    """
+    if type(f) is Cond:
+        return m.weight_of(state, state.ensure(_eval(state, f.cons), _eval(state, f.ante), runs=True))
     return m.weight_of(state, _eval(state, f))
 
 

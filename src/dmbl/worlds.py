@@ -7,7 +7,11 @@ blocks' Pi x Gamma parts) come first by ascending ``x``, then those of the
 complementary side (Gamma x Pi).  A set of worlds is a bitmask over that
 index space.  ``Level`` alone reads that layout and picks, by its width,
 how each operation on it runs: lifts by ``mu``, pulls, the coordinate swap,
-a conditional's value and the rows a measure weighs a set by.
+a conditional's value and the rows a measure weighs a set by.  On a wide
+level a conditional's value is rank one on every run of rows, and
+``Level.conditional_runs`` gives it as one triple per run, unbuilt: a
+wide conditional at the top of a ``prob`` query is weighed from those
+triples and never built.
 
 A read-many level (``Level.read_many``: a level a snapshot shares, or one
 a second model takes from the model's table of shared levels) answers
@@ -347,22 +351,38 @@ class Level(Record):
         ``direct``, else the Gamma x Pi rows.
 
         A narrow level lifts and calls ``conditional_here``.  A wide one
-        builds it by rows: a row on the cut side is all ones when its world
-        is in ``below`` and all zeros otherwise, and a row on the other side
-        reads ``below`` over its partners, the same pattern on every row of
-        its block half.  Each run of a half's consecutive rows is spread
-        from those bits.
+        builds it from ``conditional_runs``: a run whose pattern is the
+        whole row fills its rows, and any other run is on the side whose
+        rows all read the pattern, one product.
         """
         if self.width <= NARROW_WIDTH:
             return self.conditional_here(self.lift(below), direct)
         if not below:
             return 0
-        s = bit_string(below, self.prev_width)
         out = 0
-        for on_pi, start, count, length, rows, partners, repunit, *_ in self._segments:
-            out |= (_filled(rows, s, count, length) if on_pi == direct else
-                    repunit * int("".join(partners(s))[::-1], 2)) << start
+        for (_, pattern, rows), seg in zip(self.conditional_runs(below, direct), self._segments):
+            _, start, count, length, _, _, repunit, _, _, a = seg
+            if pattern == (1 << length) - 1:
+                out |= _filled(rows >> a, count, length) << start
+            elif pattern:
+                out |= repunit * pattern << start
         return out
+
+    def conditional_runs(self, below: int, direct: bool) -> list:
+        """``conditional(below, direct)`` on a wide level, unbuilt: one
+        ``row_groups`` triple ``(k, pattern, rows)`` per run of rows, in
+        table order.  A run the value misses has an empty pattern or rows.
+
+        The value is rank one on every run.  A row on the cut side is all
+        ones when its world is in ``below`` and all zeros otherwise, so the
+        run's rows are ``below``'s bits at its worlds and its pattern the
+        whole row.  A row on the other side reads ``below`` over its
+        partners, so every row of the run reads that pattern.
+        """
+        s = bit_string(below, self.prev_width)
+        return [(k, (1 << length) - 1, int("".join(rows(s))[::-1], 2) << a) if on_pi == direct
+                else (k, int("".join(partners(s))[::-1], 2), ((1 << count) - 1) << a)
+                for on_pi, _, count, length, rows, partners, _, k, _, a in self._segments]
 
     def conditional_here(self, mask: int, direct: bool) -> int:
         """``S | T(S)`` with ``S`` the set ``mask`` of this level cut to one
@@ -387,7 +407,7 @@ class Level(Record):
         if below.bit_count() == self.prev_width:
             return (1 << self.width) - 1
         s = bit_string(below, self.prev_width)
-        return sum(_filled(rows, s, count, length) << start
+        return sum(_filled(int("".join(rows(s))[::-1], 2), count, length) << start
                    for _, start, count, length, rows, *_ in self._segments)
 
     def pull(self, mask: int) -> int | None:
@@ -484,9 +504,9 @@ def _spread(bits: int, count: int, length: int) -> int:
                           "little")
 
 
-def _filled(rows, s: str, count: int, length: int) -> int:
-    """``count`` rows of ``length`` bits, all ones where ``rows`` reads a 1 off ``s``."""
-    firsts = _spread(int("".join(rows(s))[::-1], 2), count, length)
+def _filled(bits: int, count: int, length: int) -> int:
+    """``count`` rows of ``length`` bits, row ``i`` all ones where bit ``i`` of ``bits`` is set."""
+    firsts = _spread(bits, count, length)
     return (firsts << length) - firsts
 
 

@@ -342,6 +342,13 @@ GOLDEN_REPORTS = [
     pytest.param(["prob", "p /\\ q", "--json"],
                  "627cb6be4120cd1df2cd9bba27d31daadf73b628e2b6daa48fa222fff61418d8",
                  id="prob-level-0"),
+    # a conditional at the top over 40960 worlds, weighed from its two runs
+    pytest.param(["prob", DEEP, "--json"],
+                 "a628bf5b66a317f53775c2bda7e37b06acfa7e04d36b2726aa6c0a76d396f13b",
+                 id="prob-deep"),
+    pytest.param(["bayes", "p \\/ q", "((((q|p)|q)|p /\\ q) /\\ ~(q|p))", "--json"],
+                 "d1bb37be4546960d8da9aac8419f9e70fbabb7b4a2d37585515163b428a2df87",
+                 id="bayes-deep"),
     # the last step is case 0 with four blocks (ladder 4, 8, 32, 128); its
     # pairs come off the per-world tables built on the dump's first read
     pytest.param(["dump-model", "--step", "p", "--step", "q", "--step", "p", "--json"],

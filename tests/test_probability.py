@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 from dmbl import worlds
 from dmbl.evaluator import assign, independent
 from dmbl.formula import parse
-from dmbl.model import ModelState
+from dmbl.model import ConditionalRuns, ModelState
 from dmbl.probability import (BaseMeasure, MeasureError, MeasureState,
                               _LeadingMeasure, bayes_check, init_measure,
                               limit_prob, prob)
@@ -515,6 +515,76 @@ def test_prob_at_width_40960_under_prime_weights(text, want):
     got = prob(s, init_measure(s, pi), parse(text))
     assert s.width(s.top) == 40960
     assert got == limit_prob(s, pi, parse(text)) == want
+
+
+# --- a wide conditional weighed from its runs -------------------------------------
+
+
+def _with_a_zero(weights):
+    # the same base with its last world's weight moved onto the first
+    return [weights[0] + weights[-1], *weights[1:-1], Fraction(0)]
+
+
+@pytest.mark.parametrize("measure", [MeasureState, _LeadingMeasure])
+@pytest.mark.parametrize("build,weights,wide", [
+    (_depth_four_chain, PRIME_WEIGHTS, [384, 40960]),
+    (_case_zero_ladder, PRIME_WEIGHTS, [128]),
+    (_interleaved_ladder, APP_WEIGHTS, [160]),
+], ids=["depth-four", "case-zero", "interleaved"])
+def test_weight_read_from_runs_equals_the_built_values(build, weights, wide, measure):
+    # every wide defining level, both orientations, consequents from every
+    # level below it; the interleaved ladder's runs start inside their halves
+    s = build()
+    pi = BaseMeasure.from_weights(weights if measure is MeasureState else _with_a_zero(weights))
+    assert type(init_measure(s, pi)) is measure
+    m = measure(s, pi)
+    rng = random.Random(53)
+    read = []
+    for ev in s.history:
+        base, a = ev.level + 1, PropSet(ev.level, ev.event, s.width(ev.level))
+        if s.width(base) <= NARROW_WIDTH or s._find_match(a.mask, a.level)[0] != ev.step:
+            continue
+        read.append(s.width(base))
+        for event in (a, a.complement()):
+            for lower in range(base):
+                width = s.width(lower)
+                for mask in [0, (1 << width) - 1, rng.getrandbits(width), rng.getrandbits(width)]:
+                    b = PropSet(lower, mask, width)
+                    runs = s.ensure(b, event, runs=True)
+                    assert type(runs) is ConditionalRuns and runs.level == base
+                    assert m.weight_of(s, runs) == m.weight_of(s, s.ensure(b, event)), (
+                        base, lower, mask)
+    assert read == wide
+
+
+def test_ensure_with_runs_builds_every_other_value():
+    # a narrow defining level, a consequent at the defining level, and
+    # values lifted above a narrow and a wide one (384 worlds) all come
+    # back as ensure's PropSet
+    s = _depth_four_chain()
+    p, q = s.h("p"), s.h("q")
+    top = PropSet(4, random.Random(59).getrandbits(s.width(4)), s.width(4))
+    for b, a in [(q, p), (top, p | q), (q, s.lift(p, 4)), (q, s.lift(p & q, 4))]:
+        value = s.ensure(b, a, runs=True)
+        assert type(value) is PropSet and value == s.ensure(b, a)
+
+
+def test_prob_of_a_wide_conditional_never_builds_it(monkeypatch):
+    # the depth-four chain's value is read off its two runs at width 40960
+    built = []
+    real = worlds.Level.conditional
+
+    def spy(level, below, direct):
+        built.append(level.width)
+        return real(level, below, direct)
+
+    monkeypatch.setattr(worlds.Level, "conditional", spy)
+    s = ModelState.from_atoms(["p", "q"])
+    pi = BaseMeasure.from_weights(PRIME_WEIGHTS)
+    assert prob(s, init_measure(s, pi), parse(DEPTH_FOUR)) == 1
+    assert s.width(4) == 40960 and 40960 not in built
+    assert prob(s, init_measure(s, pi), parse(DEPTH_FOUR + " /\\ T")) == 1
+    assert 40960 in built
 
 
 # --- law battery over random formulas -----------------------------------------
