@@ -6,6 +6,9 @@ box-free formula is a theorem of the weak logic exactly when its value is
 the full set; for modal formulas the same test is model-validity only and
 is flagged as such.  The derived connectives ``<->``, ``<>`` and ``*`` are
 evaluated as defined, each operand once, without expanding them.
+``psi * phi`` is ``[]((psi|phi) <-> psi)``, full exactly when conditioning
+on ``phi`` keeps ``psi``: ``ModelState.keeps`` decides that on the
+conditional's defining level, and never builds ``(psi|phi)``.
 """
 
 from __future__ import annotations
@@ -93,9 +96,7 @@ def _eval(state: ModelState, g: Formula) -> PropSet:
     if t is Indep:
         # []((lhs|rhs) <-> lhs): conditioning on rhs leaves lhs unchanged
         lhs = _eval(state, g.lhs)
-        c = state.ensure(lhs, _eval(state, g.rhs))
-        same = c == state.lift(lhs, c.level)
-        return state.full(0) if same else state.empty(0)
+        return state.full(0) if state.keeps(lhs, _eval(state, g.rhs)) else state.empty(0)
     raise EvaluationError(f"cannot evaluate node {t.__name__}")
 
 

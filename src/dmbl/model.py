@@ -15,7 +15,11 @@ for the complement orientation).  The defining level builds the value
 width, as it does for lifts by ``mu`` onto it and pulls off it.  A wide
 conditional at the top of a ``prob`` query is weighed from its runs and
 never built: ``ensure(b, a, runs=True)`` returns it as
-``ConditionalRuns``, the triples of ``Level.conditional_runs``.
+``ConditionalRuns``, the triples of ``Level.conditional_runs``.  An
+independence test only asks whether ``f(b, a)`` equals ``b``, and
+``keeps`` answers that on the defining level without building the value
+either: a ``b`` lifted from below that level is kept exactly when it
+meets each block ``Pi | Gamma`` in nothing or in all of it.
 
 Processing the same event family again (case 0) refines the blocks from
 the level that first processed it; a fresh event (case 1) uses the single
@@ -40,6 +44,7 @@ from .worlds import (NARROW_WIDTH, Level, PropSet, WorldsError, bit_indices, bui
 CANONICAL_ENUM_WIDTH = 16   # widest level whose 2^width sets a task list may list
 INTERN_WIDTH = 1 << 16      # widest level models share through _shared_level
 INTERN_PREV_WIDTH = 512     # widest level below a level models share
+LOWS_SIZE = 1024            # most entries a state's memo of lowest preimages keeps
 
 
 class ModelError(Exception):
@@ -376,7 +381,8 @@ class ModelState:
         """The set's lowest preimage as ``(level, mask)``: pulled while it has one.
 
         Remembered for sets of levels at most ``NARROW_WIDTH`` worlds wide
-        (a wide mask costs its width to hash).  No entry goes stale: the
+        (a wide mask costs its width to hash), up to ``LOWS_SIZE`` sets per
+        state; later sets are pulled each time.  No entry goes stale: the
         levels a set is pulled through never change once built.
         """
         key = (level, mask)
@@ -385,7 +391,7 @@ class ModelState:
                 return low
         while level and (pulled := self._levels[level].pull(mask)) is not None:
             mask, level = pulled, level - 1
-        if narrow:
+        if narrow and len(self._lows) < LOWS_SIZE:
             self._lows[key] = level, mask
         return level, mask
 
@@ -399,6 +405,21 @@ class ModelState:
         """
         return self._matches.get(self._lowest(mask, level) if low is None else low)
 
+    def _defining(self, a: PropSet) -> tuple[int | None, bool] | None:
+        """Where ``f(. , a)`` is read, as ``(base, direct)``: ``base`` is the
+        level right after the step that last processed ``a``'s family, and
+        ``direct`` whether that step processed ``a`` rather than its
+        complement.  ``base`` is None when ``a`` is empty or full, which
+        conditions as the identity; None when the family was never processed.
+        """
+        if a.is_empty or a.is_full:
+            return None, True
+        match = self._matches.get(self._lowest(a.mask, a.level))
+        if match is None:
+            return None
+        idx, direct = match
+        return self.history[idx].level + 1, direct
+
     def _conditional(self, b: PropSet, a: PropSet,
                      runs: bool = False) -> PropSet | ConditionalRuns | None:
         """``f(b, a)`` at the higher of the operands' and the defining level.
@@ -407,13 +428,12 @@ class ModelState:
         processed, or ``b`` does not embed at the level right after the
         step that last processed it.  ``runs`` is ``ensure``'s.
         """
-        if a.is_empty or a.is_full:
-            return self.lift(b, max(b.level, a.level))
-        match = self._find_match(a.mask, a.level)
-        if match is None:
+        found = self._defining(a)
+        if found is None:
             return None
-        idx, direct = match
-        base = self.history[idx].level + 1
+        base, direct = found
+        if base is None:
+            return self.lift(b, max(b.level, a.level))
         lvl = self._levels[base]
         if b.level < base:
             below = self._lift_mask(b.mask, b.level, base - 1)
@@ -426,6 +446,24 @@ class ModelState:
                 return None
             value = lvl.conditional_here(pulled.mask, direct)
         return self.lift(PropSet(base, value, lvl.width), max(base, b.level, a.level))
+
+    def _kept(self, b: PropSet, a: PropSet) -> bool | None:
+        """``keeps``' answer with no step: None exactly when ``_conditional``
+        is.  Lifting is injective, so ``f(b, a) == b`` holds at the value's
+        level exactly when it holds at the defining level ``base``."""
+        found = self._defining(a)
+        if found is None:
+            return None
+        base, direct = found
+        if base is None:
+            return True
+        lvl = self._levels[base]
+        if b.level < base:
+            return lvl.fixes(self._lift_mask(b.mask, b.level, base - 1))
+        pulled = b if b.level == base else self.image_test(b, base)
+        if pulled is None:
+            return None
+        return lvl.conditional_here(pulled.mask, direct) == pulled.mask
 
     def is_defined(self, b: PropSet, a: PropSet) -> bool:
         """Whether ``f_eval(b, a)`` would succeed without a further step: the
@@ -535,17 +573,35 @@ class ModelState:
         same ``PropSet``.
         """
         value = self._conditional(b, a, runs)
-        if value is None:
-            self._assert_writable()
-            if self.mode == "demand":
-                self.step(a)
-                value = self._conditional(b, a, runs)
-                if value is None:
-                    raise ModelError("internal error: step did not define the pair")
-            else:
-                while value is None:
-                    self.step()
-                    value = self._conditional(b, a, runs)
+        return self._stepped(self._conditional, b, a, runs) if value is None else value
+
+    def keeps(self, b: PropSet, a: PropSet) -> bool:
+        """Whether ``f(b, a)`` equals ``b``: the independence test ``b * a``.
+
+        Runs the steps ``ensure(b, a)`` would run, with the same refusals,
+        then decides on the defining level without building the value.
+        There, with ``b`` below it, conditioning keeps ``b`` exactly when
+        ``b`` meets every block ``Pi | Gamma`` in nothing or in all of it
+        (``Level.fixes``); with ``b`` at or above it, ``b`` is pulled down
+        and conditioned there.
+        """
+        kept = self._kept(b, a)
+        return self._stepped(self._kept, b, a) if kept is None else kept
+
+    def _stepped(self, answer, b: PropSet, a: PropSet, *rest):
+        """``answer(b, a, *rest)`` after the steps that define the pair, which
+        ``answer`` found undefined: ``ensure``'s and ``keeps``' one loop."""
+        self._assert_writable()
+        if self.mode == "demand":
+            self.step(a)
+            value = answer(b, a, *rest)
+            if value is None:
+                raise ModelError("internal error: step did not define the pair")
+            return value
+        value = None
+        while value is None:
+            self.step()
+            value = answer(b, a, *rest)
         return value
 
     # --- canonical task list -----------------------------------------------

@@ -392,6 +392,21 @@ class Level(Record):
         side = mask & (image if direct else ~image)
         return side | self.transpose(side)
 
+    def fixes(self, below: int) -> bool:
+        """Whether ``conditional(below, direct) == lift(below)``, on either
+        side: ``below`` meets every block's ``Pi | Gamma`` in nothing or in
+        all of it.
+
+        The two agree on the cut side.  On the other side, world ``(y, x)``
+        is in the value when ``x`` is in ``below`` and in the lift when
+        ``y`` is, and ``x``, ``y`` range over one block's two halves.
+        """
+        for pi, ga in self.masks:
+            part = below & (whole := pi | ga)
+            if part and part != whole:
+                return False
+        return True
+
     def lift(self, below: int) -> int:
         """The set ``below`` of the previous level embedded here: each of its
         worlds fills its row.  A wide level spreads a run of rows at once,

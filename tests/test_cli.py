@@ -131,6 +131,16 @@ def test_cap_error_names_the_width_ladder(capsys):
                    "4 → 8 → 32 → 384 → 40960 → 536870912 > cap 200000\n")
 
 
+def test_an_independence_test_refuses_after_the_same_steps(capsys):
+    # backward asks for the family of <>(...) /\\ (q|~p) at the 40960-world
+    # top, one step past the cap, after the four steps of the chain
+    code, out, err = run(capsys, "b6-diag", "p \\/ q",
+                         "<>(((((q|p)|q)|p /\\ q)|p \\/ q)) /\\ (q|~p)")
+    assert code == 2 and out == ""
+    assert err == ("model error: level too wide: "
+                   "4 → 8 → 32 → 384 → 40960 → 704643072 > cap 200000\n")
+
+
 def test_base_level_is_capped(capsys):
     code, _, err = run(capsys, "decide", "p", "--atoms", "a,b,c,d,p",
                        "--max-worlds", "10")
@@ -354,6 +364,11 @@ GOLDEN_REPORTS = [
     pytest.param(["dump-model", "--step", "p", "--step", "q", "--step", "p", "--json"],
                  "f1b8f46131763b32fbe61a4cd12d1c3d7b734607cf3ce72cccd9984e2a1e80b4",
                  id="dump-model-case-zero"),
+    # psi sits at the defining level of ~p, 128 worlds wide, so conditioning
+    # on ~p is decided there, by the cut-and-transpose path
+    pytest.param(["indep", "~p", "(((q|p)|q) -> ((q|p)|q)) /\\ (((q|p)|q)|~p)", "--json"],
+                 "aef3f10c44ff0df6d6a9bed422dc60bd52262b681d6fb09c6fb05ab4af3d6525",
+                 id="indep-at-the-defining-level"),
     # the canonical schedule, stepping through the default task list
     pytest.param(["eval", "(q|p)", "--schedule", "canonical", "--json"],
                  "8ec69ea0db907acd31104c7c60f631027f49efe4eafa1328e478c6ef8cea782e",

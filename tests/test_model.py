@@ -2,6 +2,7 @@ import functools
 import gc
 import json
 import random
+import re
 import sys
 import threading
 import weakref
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from dmbl import model, worlds
-from dmbl.evaluator import assign
+from dmbl.evaluator import _eval, assign, decide, independent, valid
 from dmbl.formula import parse
 from dmbl.model import (CapExceededError, DegenerateEventError,
                         FrozenStateError, ModelError, ModelState, ScheduleError,
@@ -21,6 +22,7 @@ from dmbl.model import (CapExceededError, DegenerateEventError,
 from dmbl.probability import BaseMeasure, init_measure, prob
 from dmbl.worlds import PropSet, bit_indices
 
+from genformulas import random_formula
 from oracle import NotDefined, drive_from_state, to_set
 
 APP_TASKS = [0b011, 0b100, 0b110, 0b001, 0b101, 0b010]
@@ -889,6 +891,176 @@ def test_lowest_preimages_of_narrow_sets_are_remembered(monkeypatch):
     later = (1, s.lift(s.h("q"), 1).mask)
     s._lowest(later[1], 1)
     assert later in s._lows and later not in snap._lows
+
+
+def test_the_memo_of_lowest_preimages_stays_within_its_size(monkeypatch):
+    s = ModelState.from_atoms(["p", "q"])
+    assign(s, parse(DEPTH_FOUR))
+
+    def decide_many(snap, count):
+        rng, out = random.Random(53), []
+        for _ in range(count):
+            try:
+                out.append(decide(snap, random_formula(rng, ["p", "q"], allow_modal=True)).valid)
+            except ModelError:
+                out.append(None)
+        return out
+
+    snap = s.snapshot()
+    verdicts = decide_many(snap, 2000)
+    assert len(snap._lows) <= model.LOWS_SIZE
+    # past its size the memo takes no entry, and a set outside it is pulled
+    monkeypatch.setattr(model, "LOWS_SIZE", 4)
+    small = s.snapshot()
+    small._lows.clear()
+    assert decide_many(small, 2000) == verdicts
+    assert len(small._lows) == 4
+    narrow = s.lift(s.h("p") & s.h("q"), 2).mask
+    assert (2, narrow) not in small._lows
+    assert small._lowest(narrow, 2) == (0, (s.h("p") & s.h("q")).mask)
+    assert len(small._lows) == 4
+
+
+# --- independence decided on the defining level ------------------------------
+
+
+def _keeps_pairs(s, rng, count):
+    # (b, a) pairs: b a random set of any level, a lift of one from below, a
+    # processed event, a union of some level's blocks, or a conditional's
+    # value; a a processed event or its complement, lifted or not, or the
+    # empty or full set of some level
+    events = [PropSet(ev.level, ev.event, s.width(ev.level)) for ev in s.history]
+    levels = range(s.num_levels)
+    out = []
+    for _ in range(count):
+        a = rng.choice(events)
+        a = s.lift(a.complement() if rng.random() < 0.5 else a, rng.randrange(a.level, s.top + 1))
+        if rng.random() < 0.05:
+            n = rng.choice(levels)
+            a = rng.choice((s.empty(n), s.full(n)))
+        n = rng.choice(levels)
+        kind = rng.randrange(5)
+        if kind == 0:
+            b = PropSet(n, rng.getrandbits(s.width(n)), s.width(n))
+        elif kind == 1:
+            low = rng.randrange(n + 1)
+            b = s.lift(PropSet(low, rng.getrandbits(s.width(low)), s.width(low)), n)
+        elif kind == 2:
+            event = rng.choice(events)
+            b = s.lift(event, max(n, event.level))
+        elif kind == 3:
+            base = rng.randrange(1, s.num_levels)
+            mask = 0
+            for pi, ga in s.level(base).masks:
+                mask |= (pi | ga) * rng.getrandbits(1)
+            b = s.lift(PropSet(base - 1, mask, s.width(base - 1)), max(n, base - 1))
+        else:
+            b = s.f_eval(PropSet(0, rng.getrandbits(s.width(0)), s.width(0)), rng.choice(events))
+        out.append((b, a))
+    return out
+
+
+def _kept_by_building(s, b, a):
+    c = s.ensure(b, a)
+    return c == s.lift(b, c.level)
+
+
+@_LADDERS
+def test_keeps_is_the_built_comparison(build):
+    s = build().snapshot()
+    seen = []
+    for b, a in _keeps_pairs(s, random.Random(47), 600):
+        try:
+            want = _kept_by_building(s, b, a)
+        except FrozenStateError:
+            # b lies at or above the defining level with no preimage there
+            with pytest.raises(FrozenStateError):
+                s.keeps(b, a)
+            seen.append(None)
+            continue
+        assert s.keeps(b, a) is want, (b.level, a.level)
+        base = s._defining(a)[0]
+        seen.append((want, None if base is None else b.level < base))
+    # kept and not, with b below and at or above the defining level; undefined
+    assert {(True, True), (False, True), (True, False), (False, False), None} <= set(seen)
+
+
+@given(st.integers(min_value=0, max_value=3_000), st.booleans())
+def test_keeps_runs_the_steps_ensure_runs(seed, canonical):
+    # twin states, one asked by keeps and one by ensure, on pairs that may
+    # need steps: the same answers, steps and refusals
+    build = _random_canonical_state if canonical else _random_demand_state
+    rng, s = build(seed)
+    _, twin = build(seed)
+    for _ in range(6):
+        n = rng.randrange(s.num_levels)
+        b = PropSet(n, rng.getrandbits(s.width(n)), s.width(n))
+        n = rng.randrange(s.num_levels) if rng.random() < 0.5 else 0
+        a = PropSet(n, rng.getrandbits(s.width(n)), s.width(n))
+        try:
+            want = _kept_by_building(twin, b, a)
+        except ModelError as exc:
+            with pytest.raises(type(exc), match=re.escape(str(exc))):
+                s.keeps(b, a)
+        else:
+            assert s.keeps(b, a) is want
+        assert [ev.event for ev in s.history] == [ev.event for ev in twin.history]
+
+
+def test_an_undefined_independence_test_on_a_snapshot_is_refused():
+    s = ModelState.from_atoms(["p", "q"])
+    assign(s, parse("((q|p)|q)"))
+    snap = s.snapshot()
+    pq = snap.h("p") & snap.h("q")
+    with pytest.raises(FrozenStateError):
+        snap.keeps(snap.h("p"), pq)
+    with pytest.raises(FrozenStateError):
+        valid(snap, parse("p * (p /\\ q)"))
+    # a set of level 2 with no preimage at level 1, where (. | p) is defined
+    b = PropSet(2, 0b1, 32)
+    with pytest.raises(FrozenStateError):
+        snap.keeps(b, snap.h("p"))
+    assert snap.num_levels == 3
+    assert snap.keeps(b, snap.full(0)) and snap.keeps(b, snap.empty(1))
+
+
+def test_an_independence_test_builds_nothing_on_the_defining_level(monkeypatch):
+    # the depth-four snapshot: p \/ q's family defines (. | p \/ q) at the
+    # 40960-world level 4, and (q|~p) sits at level 1
+    s = ModelState.from_atoms(["p", "q"])
+    assign(s, parse(DEPTH_FOUR))
+    snap = s.snapshot()
+    phi, psi = parse("p \\/ q"), parse("(q|~p)")
+    want = _kept_by_building(snap, _eval(snap, psi), _eval(snap, phi))
+    built = []
+    for name in ("conditional", "lift"):
+        real = getattr(worlds.Level, name)
+
+        def spy(self, *args, real=real, name=name):
+            built.append((name, self.index))
+            return real(self, *args)
+
+        monkeypatch.setattr(worlds.Level, name, spy)
+    assert independent(snap, phi, psi) is want is False
+    assert not [call for call in built if call[1] == 4]
+
+
+def test_fixes_reads_every_block_whole():
+    # the case-zero ladder's top has four blocks over 32 worlds: a set kept by
+    # conditioning meets each block's Pi | Gamma in nothing or all of it
+    s = _case_zero_ladder()
+    top = s.level(s.top)
+    assert len(top.masks) == 4
+    for pi, ga in top.masks:
+        whole = pi | ga
+        rest = ((1 << top.prev_width) - 1) ^ whole
+        for below in (whole, pi, ga, whole ^ (whole & -whole)):
+            for others in (0, rest):
+                want = below == whole or below == 0
+                assert top.fixes(below | others) is want
+                for direct in (True, False):
+                    kept = top.conditional(below | others, direct) == top.lift(below | others)
+                    assert kept is want
 
 
 # --- read-many levels answer by byte lookup --------------------------------
